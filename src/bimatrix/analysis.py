@@ -375,23 +375,47 @@ def antilinear_stabilizable_discrete(a2, b2, rtol=PBH_RTOL):
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov-type equations (Kronecker vectorization)
+# Lyapunov-type equations (SciPy's Schur-based solvers)
 # ---------------------------------------------------------------------------
 
 
-def _vec(mat):
-    return mat.flatten(order="F")
+def _solve_lyapunov_refined(a, w, continuous):
+    """Solve ``a^H P + P a = -w`` or ``a^H P a - P = -w`` with SciPy.
 
+    The continuous equation goes to Bartels-Stewart; SciPy solves the
+    discrete one directly below order 10 and by the bilinear map to the
+    continuous one above.  One refinement step follows: the equation is
+    solved again for the residual and the correction added.  Returns the
+    Hermitian part of the solution and the norm of its residual.
+    """
+    # SciPy solves ``m X + X m^H = q`` and ``m X m^H - X = -q``; with
+    # ``m = a^H`` each ``solve(rhs)`` below returns the X with ``op(X) = rhs``
+    ah = a.conj().T
+    if continuous:
+        def op(x):
+            return ah @ x + x @ a
 
-def _unvec(v, n):
-    return v.reshape((n, n), order="F")
+        def solve(rhs):
+            return scipy.linalg.solve_continuous_lyapunov(ah, rhs)
+    else:
+        def op(x):
+            return ah @ x @ a - x
+
+        def solve(rhs):
+            return scipy.linalg.solve_discrete_lyapunov(ah, -rhs)
+    p = solve(-w)
+    p = p - solve(op(p) + w)
+    p = (p + p.conj().T) / 2.0
+    return p, np.linalg.norm(op(p) + w)
 
 
 def solve_lyapunov_real(a, w, continuous, pair_rtol=1e-10):
     """Solve ``a^T P + P a = -w`` or ``a^T P a - P = -w`` for symmetric ``P``.
 
-    Dense Kronecker-vectorized solve; adequate at the doubled dimensions this
-    library targets (n <= ~30).
+    ``scipy.linalg.solve_continuous_lyapunov`` / ``solve_discrete_lyapunov``,
+    followed by one refinement step (see :func:`_solve_lyapunov_refined`).  An
+    eigenvalue pair that makes the operator singular is rejected up front,
+    and a solution whose residual exceeds ``1e-6 * max(1, |w|)`` is refused.
     """
     n = a.shape[0]
     lam = np.linalg.eigvals(a)
@@ -402,23 +426,16 @@ def solve_lyapunov_real(a, w, continuous, pair_rtol=1e-10):
             raise NoUniqueSolutionError(
                 "eigenvalue pair with lam_i + lam_j = 0; no unique solution"
             )
-        op = np.kron(np.eye(n), a.T) + np.kron(a.T, np.eye(n))
     else:
         gaps = np.abs(lam[:, None] * lam[None, :] - 1.0)
         if np.min(gaps) <= pair_rtol * max(1.0, scale**2):
             raise NoUniqueSolutionError(
                 "eigenvalue pair with lam_i * lam_j = 1; no unique solution"
             )
-        op = np.kron(a.T, a.T) - np.eye(n * n)
-    p = _unvec(np.linalg.solve(op, -_vec(w)), n)
-    p = (p + p.T) / 2.0
-    if continuous:
-        res = np.linalg.norm(a.T @ p + p @ a + w)
-    else:
-        res = np.linalg.norm(a.T @ p @ a - p + w)
+    p, res = _solve_lyapunov_refined(a, w, continuous)
     if res > 1e-6 * max(1.0, np.linalg.norm(w)):
         raise NoUniqueSolutionError(
-            "vectorized solve is too ill-conditioned to trust"
+            "Lyapunov solve is too ill-conditioned to trust"
         )
     return p
 
@@ -428,13 +445,15 @@ def solve_lyapunov(sys, c_bm=None):
 
     Continuous: ``{A}^H {P} + {P} {A} = -{C}^H {C}``; discrete replaces the
     left side with ``{A}^H {P} {A} - {P}``.  Solved on the real
-    representation and mapped back; the result is a Hermite pair.
+    representation by :func:`solve_lyapunov_real` (a SciPy solve plus one
+    refinement step) and mapped back; the result is a Hermite pair.
 
     Raises
     ------
     NoUniqueSolutionError
         When the underlying linear operator is singular (an eigenvalue pair
-        sums to zero / multiplies to one).
+        sums to zero / multiplies to one), or so ill-conditioned that the
+        solution misses its residual gate.
     """
     c_bm = sys.c if c_bm is None else c_bm
     if c_bm.cols != sys.n:
@@ -463,7 +482,6 @@ def antilinear_lyapunov_reduced(a2, c_n, require_pd=True):
     a2 = np.asarray(a2, dtype=complex)
     c_n = np.asarray(c_n, dtype=complex)
     m0 = np.conj(a2) @ a2
-    n = m0.shape[0]
     w = c_n.conj().T @ c_n
     mu = np.linalg.eigvals(m0)
     gaps = np.abs(np.conj(mu)[:, None] * mu[None, :] - 1.0)
@@ -471,9 +489,7 @@ def antilinear_lyapunov_reduced(a2, c_n, require_pd=True):
         raise NoUniqueSolutionError(
             "eigenvalue pair with conj(mu_i) mu_j = 1; no unique solution"
         )
-    op = np.kron(m0.T, m0.conj().T) - np.eye(n * n)
-    p = _unvec(np.linalg.solve(op, -_vec(w)), n)
-    p = (p + p.conj().T) / 2.0
+    p, _ = _solve_lyapunov_refined(m0, w, continuous=False)
     if require_pd:
         w_eigs = np.linalg.eigvalsh(p)
         if w_eigs[0] <= 1e-10 * max(abs(float(w_eigs[0])), abs(float(w_eigs[-1]))):

@@ -36,6 +36,7 @@ from .analysis import (
 )
 from .design import (
     DEFAULT_SEED,
+    MAX_GRID_STEPS,
     WeightPair,
     assign_eigenvalues,
     closed_loop,
@@ -262,16 +263,24 @@ def _cmd_observer(args):
 
 
 def _build_times(sysm, horizon, dt):
-    if sysm.domain.is_continuous:
+    continuous = sysm.domain.is_continuous
+    if continuous:
         if dt is None or dt <= 0:
             raise ValueError("continuous simulation requires --dt > 0")
-        steps = int(round(float(horizon) / dt))
-        if steps < 1:
-            raise ValueError("--horizon must cover at least one step")
-        return np.arange(steps + 1, dtype=float) * dt
-    if dt is not None and dt != 1:
-        raise ValueError("discrete simulation uses unit steps; omit --dt or pass 1")
-    return np.arange(int(horizon) + 1, dtype=float)
+        span = float(horizon) / dt
+    else:
+        if dt is not None and dt != 1:
+            raise ValueError("discrete simulation uses unit steps; omit --dt or pass 1")
+        span, dt = float(horizon), 1.0
+    # checked before any conversion or allocation; also rejects inf and NaN
+    if not span <= MAX_GRID_STEPS:
+        raise ValueError(
+            f"--horizon must be finite and span at most {MAX_GRID_STEPS:.0e} steps"
+        )
+    steps = round(span) if continuous else int(span)
+    if continuous and steps < 1:
+        raise ValueError("--horizon must cover at least one step")
+    return np.arange(steps + 1, dtype=float) * dt
 
 
 def _load_input(arg, times, m):

@@ -558,6 +558,13 @@ def cmatrix_to_json(a):
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
+def _complex_entry(pair, name, i):
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except TypeError as exc:
+        raise ValueError(f"{name}: entry {i} holds a non-number") from exc
+
+
 def cmatrix_from_json(obj, name="matrix"):
     if not isinstance(obj, dict):
         raise ValueError(f"{name}: expected an object with rows/cols/data")
@@ -565,8 +572,12 @@ def cmatrix_from_json(obj, name="matrix"):
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except KeyError as exc:
         raise ValueError(f"{name}: missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{name}: rows and cols must be integers") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"{name}: rows and cols must be positive")
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"{name}: data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(
             f"{name}: data holds {len(data)} entries, expected {rows * cols}"
@@ -575,7 +586,7 @@ def cmatrix_from_json(obj, name="matrix"):
     for i, pair in enumerate(data):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{name}: entry {i} is not an [re, im] pair")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
+        flat[i] = _complex_entry(pair, name, i)
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{name}: contains non-finite entries")
     return flat.reshape(rows, cols)
@@ -593,7 +604,7 @@ def cvector_from_json(obj, name="vector"):
     for i, pair in enumerate(obj):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{name}: entry {i} is not an [re, im] pair")
-        vals[i] = complex(float(pair[0]), float(pair[1]))
+        vals[i] = _complex_entry(pair, name, i)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name}: contains non-finite entries")
     return vals

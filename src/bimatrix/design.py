@@ -26,6 +26,7 @@ from .core import (
 )
 from .exceptions import (
     DimensionError,
+    NoUniqueSolutionError,
     NotControllableError,
     NotObservableError,
     NotStabilizableError,
@@ -65,10 +66,15 @@ __all__ = [
 DEFAULT_SEED = 12345
 # Achieved-spectrum tolerance, scaled by 1 + |eigenvalue|.
 PLACEMENT_RTOL = 1e-6
-# Solver iteration targets.
+# Riccati residual gate: |res| / max(1, |P|).
 ARE_RESIDUAL_RTOL = 1e-10
-CARE_MAX_ITER = 100
-DARE_MAX_ITER = 10_000
+# Newton polish steps allowed when the Schur solution misses the gate, and how
+# far they may move it (relative to the Schur solution) before the two
+# solvers count as disagreeing.
+ARE_NEWTON_STEPS = 3
+ARE_POLISH_RTOL = math.sqrt(np.finfo(float).eps)
+# Longest time grid a cost or simulation may allocate.
+MAX_GRID_STEPS = 2_000_000
 ANTI_ARE_STEP_RTOL = 1e-12
 ANTI_ARE_MAX_ITER = 10_000
 
@@ -257,21 +263,6 @@ def _mirror_spectrum(values, domain):
     return np.asarray(out, dtype=complex)
 
 
-def _stabilizing_gain_real(a, b, domain, rng):
-    """Real gain making ``a + b K`` stable, via partial placement of the bad block."""
-    sort = "lhp" if domain.is_continuous else "iuc"
-    t, z, sdim = scipy.linalg.schur(a, output="real", sort=sort)
-    n = a.shape[0]
-    if sdim == n:
-        return np.zeros((b.shape[1], n))
-    t22 = t[sdim:, sdim:]
-    b2 = (z.T @ b)[sdim:, :]
-    targets = _mirror_spectrum(np.linalg.eigvals(t22), domain)
-    k2 = _place(t22, b2, targets, rng)
-    k = np.hstack([np.zeros((b.shape[1], sdim)), k2]) @ z.T
-    return k
-
-
 def stabilize(sys, rng=None, rtol=PBH_RTOL):
     """Gain pair whose closed loop is asymptotically stable.
 
@@ -320,8 +311,10 @@ class LqrSolution:
     """Riccati solution pair, optimal gain pair, and solution diagnostics.
 
     ``residual`` is the relative residual of the pair-valued Riccati equation
-    evaluated with pair arithmetic.  ``minimum_cost(x0)`` evaluates the
-    optimal cost ``Re(x0^H {P} x0)``.
+    evaluated with pair arithmetic.  ``iterations`` is, for :func:`lqr`, 1 plus
+    the number of Newton polish steps that followed the Schur solve, and for
+    :func:`antilinear_lqr_discrete` the number of fixed-point steps.
+    ``minimum_cost(x0)`` evaluates the optimal cost ``Re(x0^H {P} x0)``.
     """
 
     p: HermiteBimatrix
@@ -333,50 +326,56 @@ class LqrSolution:
         return quadratic_form_real(self.p, x0)
 
 
-def _solve_care_real(a, b, q, r, rng):
-    """Continuous Riccati equation by Newton iteration on a stabilizing gain.
+def _solve_are_real(a, b, q, r, continuous):
+    """Riccati equation of the real representation; returns ``(P, K, iterations)``.
 
-    Each step solves one Lyapunov equation (Kronecker-vectorized).  Seeded
-    with zero gain when the open loop is stable, otherwise with a partial
-    placement of the bad spectrum block.
+    SciPy's Schur solvers (Laub's method for the continuous equation, the
+    generalized Schur method for the discrete one) give ``P``.  It must meet
+    ``|res| / max(1, |P|) <= ARE_RESIDUAL_RTOL``.  When it misses, at most
+    ``ARE_NEWTON_STEPS`` Kleinman (continuous) or Hewer (discrete) Newton
+    steps polish it, each one Lyapunov solve for the closed loop of the
+    current gain.  The polished ``P`` is kept only if it lies within
+    ``ARE_POLISH_RTOL`` of the Schur solution: two independent solvers must
+    agree.  ``K`` is the optimal gain for ``P``, and ``iterations`` is 1 plus
+    the number of Newton steps taken.
     """
-    stable = bool(np.max(np.linalg.eigvals(a).real) < -STABILITY_TOL)
-    if stable:
-        k = np.zeros((b.shape[1], a.shape[0]))
-    else:
-        k = _stabilizing_gain_real(a, b, TimeDomain.CONTINUOUS, rng)
-    p = None
-    for it in range(1, CARE_MAX_ITER + 1):
-        acl = a + b @ k
-        w = q + k.T @ r @ k
-        p = solve_lyapunov_real(acl, w, continuous=True)
-        k = -np.linalg.solve(r, b.T @ p)
-        res = a.T @ p + p @ a - p @ b @ np.linalg.solve(r, b.T @ p) + q
+    solver = scipy.linalg.solve_continuous_are if continuous else scipy.linalg.solve_discrete_are
+    try:
+        p0 = solver(a, b, q, r)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise RiccatiError(f"Schur Riccati solve failed: {exc}") from exc
+    if not np.all(np.isfinite(p0)):
+        raise RiccatiError("Schur Riccati solve returned non-finite entries")
+    p = p0
+    for steps in range(ARE_NEWTON_STEPS + 1):
+        # optimal gain (u = K x) for the current P; the residual is written
+        # with the closed loop a + b K
+        if continuous:
+            k = -np.linalg.solve(r, b.T @ p)
+            acl = a + b @ k
+            res = a.T @ p + p @ acl + q
+        else:
+            k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+            acl = a + b @ k
+            res = a.T @ p @ acl - p + q
         rel = np.linalg.norm(res) / max(1.0, np.linalg.norm(p))
         if rel <= ARE_RESIDUAL_RTOL:
-            return p, it
+            moved = np.linalg.norm(p - p0) / np.linalg.norm(p0)
+            if moved > ARE_POLISH_RTOL:
+                raise RiccatiError(
+                    f"Newton polish moved the Schur solution by {moved:.1e} (relative); "
+                    "the two solvers disagree"
+                )
+            return p, k, 1 + steps
+        if steps == ARE_NEWTON_STEPS:
+            break
+        try:
+            p = solve_lyapunov_real(acl, q + k.T @ r @ k, continuous)
+        except NoUniqueSolutionError as exc:
+            raise RiccatiError(f"Newton polish step failed: {exc}") from exc
     raise RiccatiError(
-        f"Newton iteration missed tolerance after {CARE_MAX_ITER} steps (rel {rel:.1e})"
-    )
-
-
-def _solve_dare_real(a, b, q, r):
-    """Discrete Riccati equation by fixed-point iteration from ``P = Q``."""
-    p = q.copy()
-    for it in range(1, DARE_MAX_ITER + 1):
-        bpa = b.T @ p @ a
-        s = r + b.T @ p @ b
-        pn = q + a.T @ p @ a - bpa.T @ np.linalg.solve(s, bpa)
-        pn = (pn + pn.T) / 2.0
-        bpa = b.T @ pn @ a
-        s = r + b.T @ pn @ b
-        res = a.T @ pn @ a - pn - bpa.T @ np.linalg.solve(s, bpa) + q
-        rel = np.linalg.norm(res) / max(1.0, np.linalg.norm(pn))
-        p = pn
-        if rel <= ARE_RESIDUAL_RTOL:
-            return p, it
-    raise RiccatiError(
-        f"Riccati iteration missed tolerance after {DARE_MAX_ITER} steps (rel {rel:.1e})"
+        f"Riccati residual {rel:.1e} above {ARE_RESIDUAL_RTOL:.0e} after "
+        f"{ARE_NEWTON_STEPS} Newton polish steps"
     )
 
 
@@ -402,21 +401,29 @@ def lqr(sys, weights=None, rng=None, rtol=PBH_RTOL):
     """Optimal full state feedback for the infinite-horizon quadratic cost.
 
     Solves the Riccati equation of the real representation (the two pictures
-    are equivalent), folds the solution back into a Hermite pair ``{P1, P2}``
-    and the gain into ``{K1*, K2*}``, and verifies positive definiteness,
-    closed-loop stability and the pair-form residual.
+    are equivalent) with SciPy's Schur solvers and at most a few Newton
+    polish steps (see :func:`_solve_are_real`), folds the solution back into
+    a Hermite pair ``{P1, P2}`` and the gain into ``{K1*, K2*}``, and verifies
+    positive definiteness, closed-loop stability and the pair-form residual.
 
     Parameters
     ----------
     weights : WeightPair, optional
         Defaults to identity state and input weights.
     rng : numpy.random.Generator, optional
-        Drives the stabilizing-seed placement; defaults to a fixed seed so
-        results are reproducible.
+        Unused: the Riccati solve is deterministic.  Kept so callers such as
+        :func:`stabilize` can pass one generator through every design step.
 
     Returns
     -------
     LqrSolution
+
+    Raises
+    ------
+    RiccatiError
+        When the Schur solve fails, misses the residual gate even after
+        Newton polishing, disagrees with its polished solution, or the result
+        fails the definiteness or stability check.
     """
     weights = WeightPair.identity(sys.n, sys.m) if weights is None else weights
     if weights.q.shape != (sys.n, sys.n):
@@ -427,14 +434,9 @@ def lqr(sys, weights=None, rng=None, rtol=PBH_RTOL):
         raise NotStabilizableError("system is not stabilizable; no regulator exists")
     rep = sys.real_representation()
     qr_, rr = weights.q.real_representation(), weights.r.real_representation()
-    if sys.domain.is_continuous:
-        p_real, iters = _solve_care_real(rep.a, rep.b, qr_, rr, _rng(rng))
-        k_real = -np.linalg.solve(rr, rep.b.T @ p_real)
-    else:
-        p_real, iters = _solve_dare_real(rep.a, rep.b, qr_, rr)
-        k_real = -np.linalg.solve(
-            rr + rep.b.T @ p_real @ rep.b, rep.b.T @ p_real @ rep.a
-        )
+    p_real, k_real, iters = _solve_are_real(
+        rep.a, rep.b, qr_, rr, sys.domain.is_continuous
+    )
     p = hermite_from_real_representation(p_real)
     gain = Bimatrix.from_real_representation(k_real)
     residual = _bimatrix_are_residual(sys, weights, p)
@@ -480,7 +482,7 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
         fastest = float(np.max(np.abs(vals))) if stable else 0.0
         dt = 1.0 / (50.0 * fastest) if fastest > 0 else float(horizon) / 10_000.0
     steps = max(1, int(math.ceil(float(horizon) / dt)))
-    if steps > 2_000_000:
+    if steps > MAX_GRID_STEPS:
         raise ValueError("cost grid would exceed 2e6 steps; pass a coarser dt")
     step = cl.a.expm(dt)
 
@@ -524,9 +526,10 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
 
     with ``S = R1 + B2^H conj(P1) B2``, and the optimal feedback is the
     conjugate-free ``u = K1 x``.  Solved by fixed-point iteration from
-    ``P1 = Q1``.  Existence for every stabilizable system is an open
-    conjecture, so non-convergence is reported as a diagnosis, never as a
-    proof that no solution exists.
+    ``P1 = Q1``, stopped at once when a step overflows or turns NaN.
+    Existence for every stabilizable system is an open conjecture, so
+    non-convergence is reported as a diagnosis, never as a proof that no
+    solution exists.
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
@@ -545,9 +548,17 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
         gain_term = np.linalg.solve(s, b2.conj().T @ pc @ a2)
         pn = q1 + a2.conj().T @ pc @ a2 - a2.conj().T @ pc @ b2 @ gain_term
         pn = (pn + pn.conj().T) / 2.0
-        if np.linalg.norm(pn - p) <= ANTI_ARE_STEP_RTOL * max(1.0, np.linalg.norm(p)):
+        step = np.linalg.norm(pn - p)
+        if step <= ANTI_ARE_STEP_RTOL * max(1.0, np.linalg.norm(p)):
             p = pn
             break
+        # a NaN or overflowed iterate can never meet the step gate; a huge
+        # but finite one can also overflow the norm, hence the entry check
+        if not math.isfinite(step) and not np.all(np.isfinite(pn)):
+            raise RiccatiError(
+                f"fixed-point iteration overflowed at step {it}; no solution found "
+                "(this is a diagnosis, not a proof of non-existence)"
+            )
         p = pn
     else:
         raise RiccatiError(

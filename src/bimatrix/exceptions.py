@@ -50,4 +50,4 @@ class PlacementError(BimatrixError):
 
 
 class RiccatiError(BimatrixError):
-    """Riccati iteration diverged or the computed solution fails its invariants."""
+    """A Riccati solve failed, missed its residual gate, or its solution fails its invariants."""

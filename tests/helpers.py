@@ -151,3 +151,22 @@ def multiset_close(got, want, rtol=1e-8):
             return False
         got.pop(j)
     return len(got) == 0
+
+
+def kron_lyapunov(a, w, continuous):
+    """Lyapunov/Stein solution by the paper-formula Kronecker vectorization.
+
+    Solves ``a^H P + P a = -w`` (continuous) or ``a^H P a - P = -w``
+    (discrete) as one dense linear system in ``vec(P)``, using
+    ``vec(X P Y) = (Y^T kron X) vec(P)``.  O(n^6): an oracle for small n only.
+    """
+    a = np.asarray(a)
+    n = a.shape[0]
+    eye = np.eye(n)
+    ah = a.conj().T
+    if continuous:
+        op = np.kron(eye, ah) + np.kron(a.T, eye)
+    else:
+        op = np.kron(a.T, ah) - np.eye(n * n)
+    vec_p = np.linalg.solve(op, -np.asarray(w).flatten(order="F"))
+    return vec_p.reshape((n, n), order="F")

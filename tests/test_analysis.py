@@ -28,6 +28,7 @@ from bimatrix import (
     transition_pair,
     unarrow,
 )
+from bimatrix.analysis import solve_lyapunov_real
 from bimatrix.exceptions import (
     NoPositiveDefiniteSolutionError,
     NoUniqueSolutionError,
@@ -36,6 +37,7 @@ from bimatrix.exceptions import (
 
 from helpers import (
     antilinear_series_pair,
+    kron_lyapunov,
     lift,
     rand_bimatrix,
     rand_cmatrix,
@@ -424,6 +426,22 @@ class TestLyapunov:
         v = [quadratic_form_real(p, trace.states[k]) for k in range(len(trace))]
         assert all(v[k + 1] <= v[k] + 1e-12 for k in range(len(v) - 1))
 
+    @pytest.mark.parametrize("continuous", [True, False])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_real_solver_matches_kronecker_formula(self, rng, n, continuous):
+        a = rng.standard_normal((n, n))
+        lam = np.linalg.eigvals(a)
+        if continuous:
+            a = a - (float(np.max(lam.real)) + 0.5) * np.eye(n)
+        else:
+            a = a * (0.9 / float(np.max(np.abs(lam))))
+        y = rng.standard_normal((n, n))
+        w = y @ y.T + np.eye(n)
+        got = solve_lyapunov_real(a, w, continuous)
+        want = kron_lyapunov(a, w, continuous)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(got, got.T)
+
     def test_singular_operator_raises(self):
         # +1 and -1 eigenvalues sum to zero across the pair
         sysm = make_normal(np.diag([1.0, -1.0]), np.ones((2, 1)), np.eye(2),
@@ -455,3 +473,13 @@ class TestAntilinearLyapunovReduced:
             p_n = antilinear_lyapunov_reduced(a2, c_n)
             assert np.allclose(p_pair.first, p_n, atol=1e-9)
             assert np.allclose(p_pair.second, 0, atol=1e-9)
+
+    def test_matches_kronecker_formula(self, rng):
+        for n in range(1, 6):
+            a2 = rand_cmatrix(rng, n, n)
+            rho = float(np.max(np.abs(np.linalg.eigvals(np.conj(a2) @ a2))))
+            a2 = a2 * np.sqrt(0.9 / rho)
+            c_n = rand_cmatrix(rng, 2, n)
+            got = antilinear_lyapunov_reduced(a2, c_n)
+            want = kron_lyapunov(np.conj(a2) @ a2, c_n.conj().T @ c_n, continuous=False)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -270,6 +270,43 @@ class TestErrorPaths:
         code, _, err = _run(["analyze", str(workdir / "nope.json")], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("data", 5, "data must be a list"),
+         ("data", [[None, 0.0]], "entry 0 holds a non-number"),
+         ("rows", None, "rows and cols must be integers")],
+    )
+    def test_malformed_matrix_block_is_exit_1(self, workdir, capsys, field, value, message):
+        obj = system_to_json(make_normal([[0.5]], [[1.0]], [[1.0]], domain="discrete"))
+        obj["A1"][field] = value
+        path = _write_json(workdir / "sys.json", obj)
+        code, _, err = _run(["analyze", path], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "domain, grid",
+        [("continuous", ["--horizon", "1e9", "--dt", "1"]),
+         ("continuous", ["--horizon", "inf", "--dt", "1"]),
+         ("discrete", ["--horizon", "3e6"])],
+    )
+    def test_oversized_simulation_grid_is_exit_1(
+        self, workdir, capsys, monkeypatch, domain, grid
+    ):
+        arange = np.arange
+
+        def bounded_arange(*args, **kwargs):
+            assert args[0] <= 2_000_001, "unbounded time grid allocated"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", bounded_arange)
+        sysm = make_normal([[0.5]], [[1.0]], [[1.0]], domain=domain)
+        path = _write_json(workdir / "sys.json", system_to_json(sysm))
+        code, _, err = _run(["simulate", path, "--x0", "[[1.0, 0.0]]", *grid], capsys)
+        assert code == 1
+        assert "2e+06 steps" in err
+
 
 class TestSeedHandling:
     def test_env_seed_changes_nothing_functional_but_is_honored(

@@ -337,6 +337,66 @@ class TestLqrCost:
             lqr_cost(sysm, weights, Bimatrix.zeros(1, 1), [1.0], horizon=1.0, dt=0.01)
 
 
+class TestRiccatiSolverPath:
+    def test_schur_solution_disagreeing_with_newton_polish_is_refused(
+        self, rng, monkeypatch
+    ):
+        sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
+        assert lqr(sysm).iterations == 1
+        exact = scipy.linalg.solve_discrete_are
+
+        def perturbed(a, b, q, r):
+            p = exact(a, b, q, r)
+            return p + 1e-4 * np.linalg.norm(p) * np.eye(p.shape[0])
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", perturbed)
+        with pytest.raises(RiccatiError, match="disagree"):
+            lqr(sysm)
+
+    @staticmethod
+    def _scipy_dare(sysm):
+        rep = sysm.real_representation()
+        return scipy.linalg.solve_discrete_are(
+            rep.a, rep.b, np.eye(2 * sysm.n), np.eye(2 * sysm.m)
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_raw_discrete_order_8_agrees_with_scipy_or_refuses(self, seed):
+        sysm = rand_controllable_system(
+            np.random.default_rng(seed), 8, 1, 1, TimeDomain.DISCRETE
+        )
+        try:
+            sol = lqr(sysm)
+        except RiccatiError:
+            return
+        want = self._scipy_dare(sysm)
+        got = sol.p.real_representation()
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_newton_polished_raw_discrete_solution_matches_scipy(self):
+        # this raw plant's Schur solution misses the residual gate by itself
+        sysm = rand_controllable_system(
+            np.random.default_rng(0), 8, 2, 1, TimeDomain.DISCRETE
+        )
+        sol = lqr(sysm)
+        assert sol.iterations > 1
+        want = self._scipy_dare(sysm)
+        got = sol.p.real_representation()
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_rescaled_discrete_order_8_matches_scipy(self):
+        for seed in (1, 2):
+            raw = rand_controllable_system(
+                np.random.default_rng(seed), 8, 1, 1, TimeDomain.DISCRETE
+            )
+            rho = np.max(np.abs(np.linalg.eigvals(raw.a.real_representation())))
+            sysm = CxSystem(raw.a * (1.1 / rho), raw.b, raw.c, raw.d, raw.domain)
+            sol = lqr(sysm)
+            want = self._scipy_dare(sysm)
+            got = sol.p.real_representation()
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
 class TestAntilinearLqrDiscrete:
     def test_scalar_golden_ratio_fixed_point(self):
         sol = antilinear_lqr_discrete(
@@ -387,6 +447,14 @@ class TestAntilinearLqrDiscrete:
             antilinear_lqr_discrete(
                 np.array([[2.0]]), np.zeros((1, 1)), np.eye(1), np.eye(1)
             )
+
+    def test_overflowing_iteration_stops_at_once(self):
+        # stabilizable, but the iterates overflow on the second step
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RiccatiError, match="overflowed at step 2"):
+                antilinear_lqr_discrete(
+                    np.array([[1e150]]), np.array([[1e148]]), np.eye(1), np.eye(1)
+                )
 
 
 class TestAntilinearLqrContinuous:
