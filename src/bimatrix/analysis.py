@@ -25,6 +25,7 @@ from .exceptions import (
     NoPositiveDefiniteSolutionError,
     NoUniqueSolutionError,
 )
+from .systems import TimeDomain
 
 __all__ = [
     "TransitionPair",
@@ -366,7 +367,7 @@ def antilinear_stabilizable_discrete(a2, b2, rtol=PBH_RTOL):
     m0 = a2 @ np.conj(a2)
     wide = np.hstack([b2, a2 @ np.conj(b2)])
     pts = np.linalg.eigvals(m0)
-    pts = pts[np.abs(pts) >= 1.0 - STABILITY_TOL]
+    pts = pts[_bad_region_mask(pts, TimeDomain.DISCRETE)]
     scale = max(1.0, float(np.linalg.norm(np.hstack([m0, wide]), 2)))
     n = m0.shape[0]
     return _rank_test(

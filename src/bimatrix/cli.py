@@ -38,6 +38,7 @@ from .design import (
     DEFAULT_SEED,
     MAX_GRID_STEPS,
     WeightPair,
+    _spectrum_mismatch,
     assign_eigenvalues,
     closed_loop,
     design_observer,
@@ -181,7 +182,7 @@ def _cmd_place(args):
     rtol = args.tol if args.tol is not None else PBH_RTOL
     gain = assign_eigenvalues(sysm, gamma, rng=rng, rtol=rtol)
     achieved = closed_loop(sysm, gain).spectrum()
-    deviation = _match_deviation(achieved.values, gamma)
+    deviation = _spectrum_mismatch(achieved.values, gamma)
     results = {
         "gain": bimatrix_to_json(gain),
         "achieved_spectrum": _spectrum_json(achieved),
@@ -189,15 +190,6 @@ def _cmd_place(args):
     }
     diagnostics = {"spectrum_deviation": deviation, "seed": _resolve_seed(args)}
     return _report("place", sysm, results, diagnostics)
-
-
-def _match_deviation(got, want):
-    got = list(np.asarray(got, dtype=complex))
-    worst = 0.0
-    for w in np.asarray(want, dtype=complex):
-        j = min(range(len(got)), key=lambda i: abs(got[i] - w))
-        worst = max(worst, abs(got.pop(j) - w) / (1.0 + abs(w)))
-    return worst
 
 
 def _cmd_stabilize(args):
@@ -256,7 +248,7 @@ def _cmd_observer(args):
         "requested_spectrum": [_jsonable(v) for v in gamma],
     }
     diagnostics = {
-        "spectrum_deviation": _match_deviation(achieved.values, gamma),
+        "spectrum_deviation": _spectrum_mismatch(achieved.values, gamma),
         "seed": _resolve_seed(args),
     }
     return _report("observer", sysm, results, diagnostics)

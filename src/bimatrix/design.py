@@ -37,6 +37,7 @@ from .exceptions import (
 from .analysis import (
     PBH_RTOL,
     STABILITY_TOL,
+    _bad_region_mask,
     antilinear_controllable,
     antilinear_stabilizable_discrete,
     is_asymptotically_stable,
@@ -75,8 +76,6 @@ ARE_NEWTON_STEPS = 3
 ARE_POLISH_RTOL = math.sqrt(np.finfo(float).eps)
 # Longest time grid a cost or simulation may allocate.
 MAX_GRID_STEPS = 2_000_000
-ANTI_ARE_STEP_RTOL = 1e-12
-ANTI_ARE_MAX_ITER = 10_000
 
 
 def _rng(rng):
@@ -311,9 +310,9 @@ class LqrSolution:
     """Riccati solution pair, optimal gain pair, and solution diagnostics.
 
     ``residual`` is the relative residual of the pair-valued Riccati equation
-    evaluated with pair arithmetic.  ``iterations`` is, for :func:`lqr`, 1 plus
-    the number of Newton polish steps that followed the Schur solve, and for
-    :func:`antilinear_lqr_discrete` the number of fixed-point steps.
+    evaluated with pair arithmetic.  ``iterations`` is 1 plus the number of
+    Newton polish steps that followed the Schur solve, for :func:`lqr` and
+    both antilinear regulators alike.
     ``minimum_cost(x0)`` evaluates the optimal cost ``Re(x0^H {P} x0)``.
     """
 
@@ -525,53 +524,46 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
         ``A2^H conj(P1) A2 - A2^H conj(P1) B2 S^{-1} B2^H conj(P1) A2 - P1 = -Q1``
 
     with ``S = R1 + B2^H conj(P1) B2``, and the optimal feedback is the
-    conjugate-free ``u = K1 x``.  Solved by fixed-point iteration from
-    ``P1 = Q1``, stopped at once when a step overflows or turns NaN.
-    Existence for every stabilizable system is an open conjecture, so
-    non-convergence is reported as a diagnosis, never as a proof that no
-    solution exists.
+    conjugate-free ``u = K1 x``, ``K1 = -S^{-1} B2^H conj(P1) A2``.  It is the
+    Riccati equation of the real representation, so :func:`_solve_are_real`
+    solves it there.  The folded solution must then have a vanishing second
+    part, meet the decoupled equation and reproduce the folded general gain
+    as ``K1``, each within 1e-8 relative.  A ``RiccatiError`` means that the
+    Schur solve failed or missed its residual gate, or that one of these
+    checks or the closed-loop stability check failed.
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
     q1 = _check_pd_matrix(q1, "q1")
     r1 = _check_pd_matrix(r1, "r1")
-    n = a2.shape[0]
-    if a2.shape != (n, n) or b2.shape[0] != n:
-        raise DimensionError("coefficient shapes are inconsistent")
+    n, m = a2.shape[0], b2.shape[-1]
+    if a2.shape != (n, n) or b2.shape != (n, m) or q1.shape != (n, n) or r1.shape != (m, m):
+        raise DimensionError("coefficient or weight shapes are inconsistent")
     if not antilinear_stabilizable_discrete(a2, b2):
         raise NotStabilizableError("antilinear system is not stabilizable")
 
-    p = q1.copy()
-    for it in range(1, ANTI_ARE_MAX_ITER + 1):
-        pc = np.conj(p)
-        s = r1 + b2.conj().T @ pc @ b2
-        gain_term = np.linalg.solve(s, b2.conj().T @ pc @ a2)
-        pn = q1 + a2.conj().T @ pc @ a2 - a2.conj().T @ pc @ b2 @ gain_term
-        pn = (pn + pn.conj().T) / 2.0
-        step = np.linalg.norm(pn - p)
-        if step <= ANTI_ARE_STEP_RTOL * max(1.0, np.linalg.norm(p)):
-            p = pn
-            break
-        # a NaN or overflowed iterate can never meet the step gate; a huge
-        # but finite one can also overflow the norm, hence the entry check
-        if not math.isfinite(step) and not np.all(np.isfinite(pn)):
-            raise RiccatiError(
-                f"fixed-point iteration overflowed at step {it}; no solution found "
-                "(this is a diagnosis, not a proof of non-existence)"
-            )
-        p = pn
-    else:
+    p_real, k_real, iters = _solve_are_real(
+        Bimatrix.antilinear(a2).real_representation(),
+        Bimatrix.antilinear(b2).real_representation(),
+        HermiteBimatrix(q1).real_representation(),
+        HermiteBimatrix(r1).real_representation(),
+        continuous=False,
+    )
+    p_pair = hermite_from_real_representation(p_real)
+    gain = Bimatrix.from_real_representation(k_real)
+    p, pc = p_pair.first, np.conj(p_pair.first)
+    k1 = -np.linalg.solve(r1 + b2.conj().T @ pc @ b2, b2.conj().T @ pc @ a2)
+    res = q1 + a2.conj().T @ pc @ a2 + a2.conj().T @ pc @ b2 @ k1 - p
+    scale = max(1.0, np.linalg.norm(p), np.linalg.norm(q1))
+    residual = float(np.linalg.norm(res) / scale)
+    coupling = float(np.linalg.norm(p_pair.second) / scale)
+    gain_scale = max(1.0, np.linalg.norm(gain.first) + np.linalg.norm(gain.second))
+    drift = (np.linalg.norm(k1 - gain.first) + np.linalg.norm(gain.second)) / gain_scale
+    if max(residual, coupling, drift) > 1e-8:
         raise RiccatiError(
-            f"fixed-point iteration did not converge within {ANTI_ARE_MAX_ITER} steps; "
-            "no solution found (this is a diagnosis, not a proof of non-existence)"
+            f"solution violates the decoupled equation (residual {residual:.1e}, "
+            f"conjugate part {coupling:.1e}, gain drift {drift:.1e})"
         )
-
-    pc = np.conj(p)
-    s = r1 + b2.conj().T @ pc @ b2
-    k1 = -np.linalg.solve(s, b2.conj().T @ pc @ a2)
-    correction = a2.conj().T @ pc @ b2 @ np.linalg.solve(s, b2.conj().T @ pc @ a2)
-    res = q1 + a2.conj().T @ pc @ a2 - correction - p
-    residual = float(np.linalg.norm(res) / max(1.0, np.linalg.norm(p), np.linalg.norm(q1)))
 
     closed = a2 + b2 @ k1
     if float(np.max(np.abs(np.linalg.eigvals(np.conj(closed) @ closed)))) >= 1.0 - STABILITY_TOL:
@@ -580,7 +572,7 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
         p=HermiteBimatrix(p),
         gain=Bimatrix.normal(k1),
         residual=residual,
-        iterations=it,
+        iterations=iters,
     )
 
 
@@ -672,8 +664,7 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
             f"need {2 * sys.n} target eigenvalues for an order-{sys.n} observer, "
             f"got {len(gamma)}"
         )
-    bad = _bad_values(gamma.values, sys.domain)
-    if bad.size:
+    if np.any(_bad_region_mask(gamma.values, sys.domain)):
         raise SpectrumError(
             "observer spectrum must lie strictly inside the stable region"
         )
@@ -689,13 +680,6 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
     if not achieved.matches(gamma, rtol=PLACEMENT_RTOL):
         raise PlacementError("observer spectrum verification failed")
     return gain
-
-
-def _bad_values(values, domain):
-    values = np.asarray(values, dtype=complex)
-    if domain.is_continuous:
-        return values[values.real >= -STABILITY_TOL]
-    return values[np.abs(values) >= 1.0 - STABILITY_TOL]
 
 
 def observer_loop(sys, l_gain, k_gain=None):

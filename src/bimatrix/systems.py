@@ -283,14 +283,29 @@ def _block_shapes(n, m, p):
     }
 
 
+def _finite_norm(sys):
+    """``sys`` itself, or ``ValueError`` when a real-representation norm overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = sys.real_representation()
+        norms = [np.linalg.norm(mat) for mat in (rep.a, rep.b, rep.c, rep.d)]
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("system coefficients are too large: a norm overflows float64")
+    return sys
+
+
 def system_from_json(obj):
-    """Parse the system file schema; supports embedded real-system conversion."""
+    """Parse the system file schema; supports embedded real-system conversion.
+
+    Rejects a system whose real-representation norm overflows (``ValueError``).
+    """
     if not isinstance(obj, dict):
         raise ValueError("system file must hold a JSON object")
     if "real_system" in obj:
         if obj.get("convert") is not True:
             raise ValueError('embedded "real_system" requires "convert": true')
-        return _real_system_from_json(obj)
+        # a fold that overflows is refused as non-finite, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite_norm(_real_system_from_json(obj))
     if "domain" not in obj:
         raise ValueError('system file is missing the "domain" field')
     domain = _coerce_domain(obj["domain"])
@@ -330,13 +345,13 @@ def system_from_json(obj):
         else:
             mats[name] = np.zeros(want, dtype=complex)
 
-    return CxSystem(
+    return _finite_norm(CxSystem(
         Bimatrix(mats["A1"], mats["A2"]),
         Bimatrix(mats["B1"], mats["B2"]),
         Bimatrix(mats["C1"], mats["C2"]),
         Bimatrix(mats["D1"], mats["D2"]),
         domain,
-    )
+    ))
 
 
 def _real_system_from_json(obj):

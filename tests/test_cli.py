@@ -307,6 +307,33 @@ class TestErrorPaths:
         assert code == 1
         assert "2e+06 steps" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "convert, fold, message",
+        [(False, False, "norm overflows"), (True, False, "norm overflows"),
+         (True, True, "non-finite entries")],
+    )
+    def test_overflowing_norm_is_exit_1(self, workdir, capsys, convert, fold, message):
+        # every entry is finite, but the Frobenius norm is 2e308; with fold set,
+        # folding the real system into pair form overflows as well
+        big = 1e308 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        if convert:
+            a = np.zeros((4, 4))
+            a[:2, :2] = big
+            if fold:
+                a[2:, 2:] = big
+            real = {"A": a, "B": np.eye(4, 2), "C": np.eye(2, 4), "D": np.zeros((2, 2))}
+            obj = {"convert": True, "domain": "continuous",
+                   "real_system": {k: cmatrix_to_json(v) for k, v in real.items()}}
+        else:
+            obj = system_to_json(
+                make_normal(big, [[1.0], [0.0]], [[1.0, 0.0]], domain="continuous")
+            )
+        path = _write_json(workdir / "sys.json", obj)
+        code, out, err = _run(["analyze", path], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and message in err
+
 
 class TestSeedHandling:
     def test_env_seed_changes_nothing_functional_but_is_honored(

@@ -29,8 +29,10 @@ from bimatrix import (
     stabilize,
     state_response,
 )
+import bimatrix.design as design_module
 from bimatrix.design import _place
 from bimatrix.exceptions import (
+    DimensionError,
     NotControllableError,
     NotObservableError,
     NotStabilizableError,
@@ -448,13 +450,46 @@ class TestAntilinearLqrDiscrete:
                 np.array([[2.0]]), np.zeros((1, 1)), np.eye(1), np.eye(1)
             )
 
-    def test_overflowing_iteration_stops_at_once(self):
-        # stabilizable, but the iterates overflow on the second step
+    def test_weight_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            antilinear_lqr_discrete(0.5 * np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2))
+
+    def test_overflowing_plant_refused_by_schur_solve(self):
+        # stabilizable, but the Riccati solution overflows float64
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RiccatiError, match="overflowed at step 2"):
+            with pytest.raises(RiccatiError, match="Schur Riccati solve failed"):
                 antilinear_lqr_discrete(
                     np.array([[1e150]]), np.array([[1e148]]), np.eye(1), np.eye(1)
                 )
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_raw_order_8_agrees_with_scipy_or_refuses(self, seed):
+        rng = np.random.default_rng(seed)
+        a2, b2 = rand_cmatrix(rng, 8, 8), rand_cmatrix(rng, 8, 1)
+        try:
+            sol = antilinear_lqr_discrete(a2, b2, np.eye(8), np.eye(1))
+        except RiccatiError:
+            return
+        rep_a = Bimatrix.antilinear(a2).real_representation()
+        rep_b = Bimatrix.antilinear(b2).real_representation()
+        want = scipy.linalg.solve_discrete_are(rep_a, rep_b, np.eye(16), np.eye(2))
+        got = sol.p.real_representation()
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_conjugate_part_in_solution_is_refused(self, rng, monkeypatch):
+        a2, b2 = rand_cmatrix(rng, 2, 2, scale=0.8), rand_cmatrix(rng, 2, 1)
+        antilinear_lqr_discrete(a2, b2, np.eye(2), np.eye(1))
+        exact = design_module._solve_are_real
+        sym = rand_cmatrix(rng, 2, 2)
+        conj_part = Bimatrix.antilinear(sym + sym.T).real_representation()
+
+        def coupled(a, b, q, r, continuous):
+            p, k, iters = exact(a, b, q, r, continuous)
+            return p + 1e-6 * np.linalg.norm(p) * conj_part, k, iters
+
+        monkeypatch.setattr(design_module, "_solve_are_real", coupled)
+        with pytest.raises(RiccatiError, match="decoupled equation"):
+            antilinear_lqr_discrete(a2, b2, np.eye(2), np.eye(1))
 
 
 class TestAntilinearLqrContinuous:
