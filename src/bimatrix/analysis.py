@@ -4,6 +4,8 @@ All criteria are evaluated on the lifted or real pictures of the system,
 which are ordinary linear systems; results are mapped back to coefficient
 pairs.  Rank tests follow the eigenvector (PBH) form: a pencil loses rank
 only at spectrum points, so only those finitely many points are checked.
+One kernel decomposes every pencil; its per-point margins are computed once
+per pencil and reused by the bad-region (stabilizable, detectable) tests.
 """
 
 import math
@@ -51,6 +53,8 @@ __all__ = [
 PBH_RTOL = 1e-8
 # Margin separating "stable" from the closed bad region of the domain.
 STABILITY_TOL = 1e-9
+# The four rank tests of a StructureReport, in report order.
+RANK_TESTS = ("controllable", "observable", "stabilizable", "detectable")
 
 
 @dataclass(frozen=True)
@@ -111,17 +115,24 @@ class SimTrace:
 
     def write_csv(self, f):
         """Write the spreadsheet layout ``t, x*_re, x*_im, u*, y*`` to a file object."""
-        cols = ["t"]
-        for kind, arr in (("x", self.states), ("u", self.inputs), ("y", self.outputs)):
-            for i in range(arr.shape[1]):
-                cols += [f"{kind}{i + 1}_re", f"{kind}{i + 1}_im"]
-        f.write(",".join(cols) + "\n")
-        for k, t in enumerate(self.times):
-            row = [repr(float(t))]
-            for arr in (self.states, self.inputs, self.outputs):
-                for v in arr[k]:
-                    row += [repr(float(v.real)), repr(float(v.imag))]
-            f.write(",".join(row) + "\n")
+        _write_trace_csv(
+            f, self.times, [("x", self.states), ("u", self.inputs), ("y", self.outputs)]
+        )
+
+
+def _write_trace_csv(f, times, groups):
+    """Write ``t`` and the re/im columns of each ``(prefix, array)`` group, in order."""
+    cols = ["t"]
+    for kind, arr in groups:
+        for i in range(arr.shape[1]):
+            cols += [f"{kind}{i + 1}_re", f"{kind}{i + 1}_im"]
+    f.write(",".join(cols) + "\n")
+    for k, t in enumerate(times):
+        row = [repr(float(t))]
+        for _, arr in groups:
+            for v in arr[k]:
+                row += [repr(float(v.real)), repr(float(v.imag))]
+        f.write(",".join(row) + "\n")
 
 
 def _input_samples(u, times, m):
@@ -225,76 +236,70 @@ class RankTest:
         return self.passed
 
 
-def _rank_test(build, points, scale, rtol):
+def _pbh(m0, g, points, tall=False):
+    """The PBH kernel: per-point margins of ``[sI - m0, g]`` (``[sI - m0; g]`` if ``tall``).
+
+    Returns the smallest singular value of the pencil at each point and the
+    scale ``max(1, |[m0, g]|_2)`` for rank thresholds.  The stacked pencils go
+    through batched SVDs of at most 2**20 entries (16 MB) each.
+    """
+    stack = np.vstack if tall else np.hstack
+    scale = max(1.0, float(np.linalg.norm(stack([m0, g]), 2)))
+    eye, per_call = np.eye(m0.shape[0]), max(1, 2**20 // (m0.size + g.size))
+    margins = []
+    for s in np.split(np.asarray(points), np.arange(per_call, len(points), per_call)):
+        pencils = [s[:, None, None] * eye - m0, np.broadcast_to(g, (s.size,) + g.shape)]
+        pencils = np.concatenate(pencils, axis=1 if tall else 2)
+        margins.append(np.linalg.svd(pencils, compute_uv=False)[:, -1])
+    return np.concatenate(margins), scale
+
+
+def _rank_test(margins, scale, rtol):
     threshold = rtol * scale
-    if len(points) == 0:
+    if len(margins) == 0:
         return RankTest(True, math.inf, threshold)
-    margin = math.inf
-    for s in points:
-        sv = np.linalg.svd(build(s), compute_uv=False)
-        margin = min(margin, float(sv[-1]))
+    margin = float(np.min(margins))
     return RankTest(margin > threshold, margin, threshold)
 
 
 def _bad_region_mask(values, domain, tol=STABILITY_TOL):
+    """True where a value is not strictly inside the stable region of the domain."""
     values = np.asarray(values)
     if domain.is_continuous:
-        return values.real >= -tol
-    return np.abs(values) >= 1.0 - tol
+        return ~(values.real < -tol)
+    return ~(np.abs(values) < 1.0 - tol)
+
+
+def _lifted_test(sys, g_bm, rtol, tall=False, bad_only=False):
+    pts = sys.spectrum().values
+    if bad_only:
+        pts = pts[_bad_region_mask(pts, sys.domain)]
+    return _rank_test(*_pbh(sys.a.complex_lifting(), g_bm.complex_lifting(), pts, tall), rtol)
 
 
 def is_controllable(sys, rtol=PBH_RTOL):
     """Rank test of ``[sI - A, B]`` on the lifted system at every eigenvalue."""
-    al, bl, _, _ = sys.complex_lifting()
-    pts = sys.spectrum().values
-    scale = max(1.0, float(np.linalg.norm(np.hstack([al, bl]), 2)))
-    n2 = al.shape[0]
-    return _rank_test(
-        lambda s: np.hstack([s * np.eye(n2) - al, bl]), pts, scale, rtol
-    )
+    return _lifted_test(sys, sys.b, rtol)
 
 
 def is_observable(sys, rtol=PBH_RTOL):
     """Rank test of ``[sI - A; C]`` on the lifted system at every eigenvalue."""
-    al, _, cl, _ = sys.complex_lifting()
-    pts = sys.spectrum().values
-    scale = max(1.0, float(np.linalg.norm(np.vstack([al, cl]), 2)))
-    n2 = al.shape[0]
-    return _rank_test(
-        lambda s: np.vstack([s * np.eye(n2) - al, cl]), pts, scale, rtol
-    )
+    return _lifted_test(sys, sys.c, rtol, tall=True)
 
 
 def is_stabilizable(sys, rtol=PBH_RTOL):
     """Controllability rank test restricted to eigenvalues in the bad region."""
-    al, bl, _, _ = sys.complex_lifting()
-    pts = sys.spectrum().values
-    pts = pts[_bad_region_mask(pts, sys.domain)]
-    scale = max(1.0, float(np.linalg.norm(np.hstack([al, bl]), 2)))
-    n2 = al.shape[0]
-    return _rank_test(
-        lambda s: np.hstack([s * np.eye(n2) - al, bl]), pts, scale, rtol
-    )
+    return _lifted_test(sys, sys.b, rtol, bad_only=True)
 
 
 def is_detectable(sys, rtol=PBH_RTOL):
     """Observability rank test restricted to eigenvalues in the bad region."""
-    al, _, cl, _ = sys.complex_lifting()
-    pts = sys.spectrum().values
-    pts = pts[_bad_region_mask(pts, sys.domain)]
-    scale = max(1.0, float(np.linalg.norm(np.vstack([al, cl]), 2)))
-    n2 = al.shape[0]
-    return _rank_test(
-        lambda s: np.vstack([s * np.eye(n2) - al, cl]), pts, scale, rtol
-    )
+    return _lifted_test(sys, sys.c, rtol, tall=True, bad_only=True)
 
 
 def is_asymptotically_stable(sys, tol=STABILITY_TOL):
     """All eigenvalues strictly inside the stable region of the domain."""
-    vals = sys.spectrum().values
-    if sys.domain.is_continuous:
-        return bool(np.max(vals.real) < -tol)
-    return bool(np.max(np.abs(vals)) < 1.0 - tol)
+    return not np.any(_bad_region_mask(sys.spectrum().values, sys.domain, tol))
 
 
 @dataclass(frozen=True)
@@ -309,22 +314,27 @@ class StructureReport:
     spectrum: SpectrumSet
 
     def margins(self):
-        return {
-            "controllable": self.controllable.margin,
-            "observable": self.observable.margin,
-            "stabilizable": self.stabilizable.margin,
-            "detectable": self.detectable.margin,
-        }
+        return {name: getattr(self, name).margin for name in RANK_TESTS}
 
 
 def structure_report(sys, rtol=PBH_RTOL):
+    """All four rank tests, the stability flag and the spectrum of one system.
+
+    The lifting, the spectrum and the per-point margins of each pencil are
+    computed once; the bad-region tests take the subset of those margins.
+    """
+    al, bl, cl, _ = sys.complex_lifting()
+    spectrum = sys.spectrum()
+    bad = _bad_region_mask(spectrum.values, sys.domain)
+    ctrb, c_scale = _pbh(al, bl, spectrum.values)
+    obsv, o_scale = _pbh(al, cl, spectrum.values, tall=True)
     return StructureReport(
-        controllable=is_controllable(sys, rtol),
-        observable=is_observable(sys, rtol),
-        stabilizable=is_stabilizable(sys, rtol),
-        detectable=is_detectable(sys, rtol),
-        stable=is_asymptotically_stable(sys),
-        spectrum=sys.spectrum(),
+        controllable=_rank_test(ctrb, c_scale, rtol),
+        observable=_rank_test(obsv, o_scale, rtol),
+        stabilizable=_rank_test(ctrb[bad], c_scale, rtol),
+        detectable=_rank_test(obsv[bad], o_scale, rtol),
+        stable=not np.any(bad),
+        spectrum=spectrum,
     )
 
 
@@ -338,12 +348,7 @@ def antilinear_controllable(a2, b2, rtol=PBH_RTOL):
     b2 = np.asarray(b2, dtype=complex)
     m0 = np.conj(a2) @ a2
     wide = np.hstack([np.conj(b2), np.conj(a2) @ b2])
-    pts = np.linalg.eigvals(m0)
-    scale = max(1.0, float(np.linalg.norm(np.hstack([m0, wide]), 2)))
-    n = m0.shape[0]
-    return _rank_test(
-        lambda s: np.hstack([s * np.eye(n) - m0, wide]), pts, scale, rtol
-    )
+    return _rank_test(*_pbh(m0, wide, np.linalg.eigvals(m0)), rtol)
 
 
 def antilinear_observable(a2, c2, rtol=PBH_RTOL):
@@ -351,13 +356,8 @@ def antilinear_observable(a2, c2, rtol=PBH_RTOL):
     a2 = np.asarray(a2, dtype=complex)
     c2 = np.asarray(c2, dtype=complex)
     m0 = np.conj(a2) @ a2
-    tall = np.vstack([c2, np.conj(c2) @ a2])
-    pts = np.linalg.eigvals(m0)
-    scale = max(1.0, float(np.linalg.norm(np.vstack([m0, tall]), 2)))
-    n = m0.shape[0]
-    return _rank_test(
-        lambda s: np.vstack([s * np.eye(n) - m0, tall]), pts, scale, rtol
-    )
+    outputs = np.vstack([c2, np.conj(c2) @ a2])
+    return _rank_test(*_pbh(m0, outputs, np.linalg.eigvals(m0), tall=True), rtol)
 
 
 def antilinear_stabilizable_discrete(a2, b2, rtol=PBH_RTOL):
@@ -368,11 +368,7 @@ def antilinear_stabilizable_discrete(a2, b2, rtol=PBH_RTOL):
     wide = np.hstack([b2, a2 @ np.conj(b2)])
     pts = np.linalg.eigvals(m0)
     pts = pts[_bad_region_mask(pts, TimeDomain.DISCRETE)]
-    scale = max(1.0, float(np.linalg.norm(np.hstack([m0, wide]), 2)))
-    n = m0.shape[0]
-    return _rank_test(
-        lambda s: np.hstack([s * np.eye(n) - m0, wide]), pts, scale, rtol
-    )
+    return _rank_test(*_pbh(m0, wide, pts), rtol)
 
 
 # ---------------------------------------------------------------------------

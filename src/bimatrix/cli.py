@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .core import (
     HermiteBimatrix,
+    _spectrum_mismatch,
     bimatrix_from_json,
     bimatrix_to_json,
     conjugate_complete,
@@ -30,6 +31,8 @@ from .exceptions import BimatrixError, InfeasibleError
 from .systems import system_from_json, system_to_json
 from .analysis import (
     PBH_RTOL,
+    RANK_TESTS,
+    _write_trace_csv,
     is_asymptotically_stable,
     state_response,
     structure_report,
@@ -38,7 +41,6 @@ from .design import (
     DEFAULT_SEED,
     MAX_GRID_STEPS,
     WeightPair,
-    _spectrum_mismatch,
     assign_eigenvalues,
     closed_loop,
     design_observer,
@@ -138,14 +140,6 @@ def _resolve_seed(args):
     return DEFAULT_SEED
 
 
-def _rank_json(test):
-    return {
-        "passed": test.passed,
-        "margin": test.margin,
-        "threshold": test.threshold,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Verb handlers
 # ---------------------------------------------------------------------------
@@ -155,23 +149,14 @@ def _cmd_analyze(args):
     sysm = _load_system(args.system)
     rtol = args.tol if args.tol is not None else PBH_RTOL
     rep = structure_report(sysm, rtol=rtol)
-    results = {
-        "controllable": rep.controllable.passed,
-        "observable": rep.observable.passed,
-        "stabilizable": rep.stabilizable.passed,
-        "detectable": rep.detectable.passed,
-        "stable": rep.stable,
-        "spectrum": _spectrum_json(rep.spectrum),
+    tests = {name: getattr(rep, name) for name in RANK_TESTS}
+    results = {name: t.passed for name, t in tests.items()}
+    results.update(stable=rep.stable, spectrum=_spectrum_json(rep.spectrum))
+    margins = {
+        name: {"passed": t.passed, "margin": t.margin, "threshold": t.threshold}
+        for name, t in tests.items()
     }
-    diagnostics = {
-        "margins": {
-            "controllable": _rank_json(rep.controllable),
-            "observable": _rank_json(rep.observable),
-            "stabilizable": _rank_json(rep.stabilizable),
-            "detectable": _rank_json(rep.detectable),
-        },
-        "rank_rtol": rtol,
-    }
+    diagnostics = {"margins": margins, "rank_rtol": rtol}
     return _report("analyze", sysm, results, diagnostics)
 
 
@@ -332,9 +317,12 @@ def _cmd_simulate(args):
         [sysm.c.apply(states[k]) + sysm.d.apply(applied[k]) for k in range(len(trace))]
     )
 
+    groups = [("x", states), ("u", applied), ("y", outputs)]
+    if observer_states is not None:
+        groups.append(("z", observer_states))
     trace_path = args.trace or _default_trace_path(args.out)
     with open(trace_path, "w", encoding="utf-8") as f:
-        _write_sim_csv(f, trace.times, states, applied, outputs, observer_states)
+        _write_trace_csv(f, trace.times, groups)
 
     final_norm = float(np.linalg.norm(states[-1]))
     results = {
@@ -354,23 +342,6 @@ def _default_trace_path(out_path):
         stem, _ = os.path.splitext(out_path)
         return stem + ".csv"
     return "trace.csv"
-
-
-def _write_sim_csv(f, times, states, inputs, outputs, observer_states=None):
-    groups = [("x", states), ("u", inputs), ("y", outputs)]
-    if observer_states is not None:
-        groups.append(("z", observer_states))
-    cols = ["t"]
-    for kind, arr in groups:
-        for i in range(arr.shape[1]):
-            cols += [f"{kind}{i + 1}_re", f"{kind}{i + 1}_im"]
-    f.write(",".join(cols) + "\n")
-    for k, t in enumerate(times):
-        row = [repr(float(t))]
-        for _, arr in groups:
-            for v in arr[k]:
-                row += [repr(float(v.real)), repr(float(v.imag))]
-        f.write(",".join(row) + "\n")
 
 
 def _cmd_convert(args):

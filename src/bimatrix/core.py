@@ -310,24 +310,6 @@ class Bimatrix:
         return f"Bimatrix(shape={self.shape})"
 
 
-def _inverse_first_schur(bm):
-    """Closed-form inverse assuming the first part is nonsingular."""
-    a1, a2 = bm.first, bm.second
-    a1ci = np.linalg.inv(np.conj(a1))
-    s1 = a1 - np.conj(a2) @ a1ci @ a2
-    s1i = np.linalg.inv(s1)
-    return Bimatrix(s1i, -a1ci @ a2 @ s1i)
-
-
-def _inverse_second_schur(bm):
-    """Closed-form inverse assuming the second part is nonsingular."""
-    a1, a2 = bm.first, bm.second
-    a2i = np.linalg.inv(a2)
-    s2 = np.conj(a2) - a1 @ a2i @ np.conj(a1)
-    s2i = np.linalg.inv(s2)
-    return Bimatrix(-a2i @ np.conj(a1) @ s2i, s2i)
-
-
 def h_matrix(n):
     """Unitary ``(1/sqrt 2) [[I, jI], [I, -jI]]`` linking the two pictures.
 
@@ -482,6 +464,20 @@ def _conjugate_pairing(values, rtol):
     return unpaired
 
 
+def _spectrum_mismatch(got, want):
+    """Largest matching distance ``|g - w| / (1 + |w|)`` between two multisets.
+
+    Each value of ``want`` in turn takes its nearest remaining value of
+    ``got`` (greedy matching); ``got`` needs at least as many values.
+    """
+    got = list(np.asarray(got, dtype=complex))
+    dists = []
+    for w in np.asarray(want, dtype=complex):
+        j = min(range(len(got)), key=lambda i: abs(got[i] - w))
+        dists.append(abs(got.pop(j) - w) / (1.0 + abs(w)))
+    return float(np.max(dists, initial=0.0))
+
+
 def conjugate_complete(values, rtol=CONJ_PAIR_RTOL):
     """Append missing conjugates so the multiset becomes conjugate-closed."""
     vals = np.asarray(values, dtype=complex).reshape(-1)
@@ -528,20 +524,10 @@ class SpectrumSet:
 
     def matches(self, other, rtol=1e-6):
         """Multiset equality up to ``rtol * (1 + |value|)`` per element."""
-        mine = list(self._values)
-        theirs = list(np.asarray(getattr(other, "values", other), dtype=complex))
-        if len(mine) != len(theirs):
-            return False
-        for v in mine:
-            best, best_d = -1, np.inf
-            for j, w in enumerate(theirs):
-                d = abs(v - w)
-                if d < best_d:
-                    best, best_d = j, d
-            if best < 0 or best_d > rtol * (1.0 + abs(v)):
-                return False
-            theirs.pop(best)
-        return True
+        theirs = np.asarray(getattr(other, "values", other), dtype=complex)
+        return len(self._values) == len(theirs) and _spectrum_mismatch(
+            theirs, self._values
+        ) <= rtol
 
     def __repr__(self):
         return f"SpectrumSet({np.array2string(self._values, precision=4)})"

@@ -19,6 +19,7 @@ from .core import (
     Bimatrix,
     HermiteBimatrix,
     SpectrumSet,
+    _spectrum_mismatch,
     block_bimatrix,
     hermite_from_real_representation,
     is_positive_definite,
@@ -36,8 +37,9 @@ from .exceptions import (
 )
 from .analysis import (
     PBH_RTOL,
-    STABILITY_TOL,
     _bad_region_mask,
+    _pbh,
+    _rank_test,
     antilinear_controllable,
     antilinear_stabilizable_discrete,
     is_asymptotically_stable,
@@ -109,16 +111,6 @@ def _real_spectrum_matrix(values, rtol=1e-8):
     return scipy.linalg.block_diag(*blocks)
 
 
-def _spectrum_mismatch(got, want):
-    """Largest matching distance between two equal-size multisets."""
-    got = list(np.asarray(got, dtype=complex))
-    worst = 0.0
-    for w in np.asarray(want, dtype=complex):
-        j = min(range(len(got)), key=lambda i: abs(got[i] - w))
-        worst = max(worst, abs(got.pop(j) - w) / (1.0 + abs(w)))
-    return worst
-
-
 def _place_once(a, b, lam_mat, targets, rng, retries, rcond_min=1e-10):
     n = a.shape[0]
     m = b.shape[1]
@@ -173,10 +165,15 @@ def _place(a, b, targets, rng, retries=20, _depth=0):
     return _place_once(a, b, lam_mat, targets, rng, retries)
 
 
-def _as_spectrum(gamma):
-    if isinstance(gamma, SpectrumSet):
-        return gamma
-    return SpectrumSet(np.asarray(gamma, dtype=complex))
+def _as_spectrum(gamma, n, what):
+    """``gamma`` as the spectrum of ``2n`` values an order-``n`` ``what`` needs."""
+    if not isinstance(gamma, SpectrumSet):
+        gamma = SpectrumSet(np.asarray(gamma, dtype=complex))
+    if len(gamma) != 2 * n:
+        raise SpectrumError(
+            f"need {2 * n} target eigenvalues for an order-{n} {what}, got {len(gamma)}"
+        )
+    return gamma
 
 
 def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
@@ -195,12 +192,7 @@ def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
     PlacementError
         If no acceptable parameter draw is found.
     """
-    gamma = _as_spectrum(gamma)
-    if len(gamma) != 2 * sys.n:
-        raise SpectrumError(
-            f"need {2 * sys.n} target eigenvalues for an order-{sys.n} system, "
-            f"got {len(gamma)}"
-        )
+    gamma = _as_spectrum(gamma, sys.n, "system")
     if not is_controllable(sys, rtol):
         raise NotControllableError("system is not controllable; cannot assign spectrum")
     rep = sys.real_representation()
@@ -222,15 +214,10 @@ def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):
     if poles.shape[0] != sys.n:
         raise SpectrumError(f"expected {sys.n} poles, got {poles.shape[0]}")
     a1, b1 = sys.a.first, sys.b.first
-    pts = np.linalg.eigvals(a1)
-    scale = max(1.0, float(np.linalg.norm(np.hstack([a1, b1]), 2)))
-    n = sys.n
-    for s in pts:
-        sv = np.linalg.svd(np.hstack([s * np.eye(n) - a1, b1]), compute_uv=False)
-        if sv[-1] <= rtol * scale:
-            raise NotControllableError(
-                "the (A1, B1) pair is not controllable; cannot assign poles"
-            )
+    if not _rank_test(*_pbh(a1, b1, np.linalg.eigvals(a1)), rtol):
+        raise NotControllableError(
+            "the (A1, B1) pair is not controllable; cannot assign poles"
+        )
     k1 = _place(a1, b1, poles, _rng(rng))
     return Bimatrix.normal(k1)
 
@@ -248,18 +235,15 @@ def _mirror_spectrum(values, domain):
     """Reflect bad eigenvalues into the stable region (conjugate closure kept)."""
     values = np.asarray(values, dtype=complex)
     margin = 0.1 * max(1.0, float(np.max(np.abs(values))))
-    out = []
-    for v in values:
+    out = values.copy()
+    for i in np.flatnonzero(_bad_region_mask(values, domain)):
+        v = values[i]
         if domain.is_continuous:
-            if v.real >= -STABILITY_TOL:
-                v = -max(abs(v.real), margin) + 1j * v.imag
+            out[i] = -max(abs(v.real), margin) + 1j * v.imag
         else:
             r = abs(v)
-            if r >= 1.0 - STABILITY_TOL:
-                out_r = min(0.8, 1.0 / r)
-                v = v * (out_r / r)
-        out.append(v)
-    return np.asarray(out, dtype=complex)
+            out[i] = v * (min(0.8, 1.0 / r) / r)
+    return out
 
 
 def stabilize(sys, rng=None, rtol=PBH_RTOL):
@@ -566,7 +550,8 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
         )
 
     closed = a2 + b2 @ k1
-    if float(np.max(np.abs(np.linalg.eigvals(np.conj(closed) @ closed)))) >= 1.0 - STABILITY_TOL:
+    closed_eigs = np.linalg.eigvals(np.conj(closed) @ closed)
+    if np.any(_bad_region_mask(closed_eigs, TimeDomain.DISCRETE)):
         raise RiccatiError("regulated antilinear loop failed the stability check")
     return LqrSolution(
         p=HermiteBimatrix(p),
@@ -658,12 +643,7 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
     back.  ``gamma`` needs ``2n`` conjugate-closed values strictly inside the
     stable region.
     """
-    gamma = _as_spectrum(gamma)
-    if len(gamma) != 2 * sys.n:
-        raise SpectrumError(
-            f"need {2 * sys.n} target eigenvalues for an order-{sys.n} observer, "
-            f"got {len(gamma)}"
-        )
+    gamma = _as_spectrum(gamma, sys.n, "observer")
     if np.any(_bad_region_mask(gamma.values, sys.domain)):
         raise SpectrumError(
             "observer spectrum must lie strictly inside the stable region"

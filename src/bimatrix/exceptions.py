@@ -41,10 +41,6 @@ class NotObservableError(InfeasibleError):
     pass
 
 
-class NotDetectableError(InfeasibleError):
-    pass
-
-
 class PlacementError(BimatrixError):
     """Eigenvalue placement failed numerically after retries."""
 

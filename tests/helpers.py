@@ -74,6 +74,61 @@ def lift(bm):
     return np.vstack([top, bot])
 
 
+def inverse_first_schur(bm):
+    """Paper's closed-form inverse, assuming the first part is nonsingular."""
+    a1, a2 = bm.first, bm.second
+    a1ci = np.linalg.inv(np.conj(a1))
+    s1 = a1 - np.conj(a2) @ a1ci @ a2
+    s1i = np.linalg.inv(s1)
+    return Bimatrix(s1i, -a1ci @ a2 @ s1i)
+
+
+def inverse_second_schur(bm):
+    """Paper's closed-form inverse, assuming the second part is nonsingular."""
+    a1, a2 = bm.first, bm.second
+    a2i = np.linalg.inv(a2)
+    s2 = np.conj(a2) - a1 @ a2i @ np.conj(a1)
+    s2i = np.linalg.inv(s2)
+    return Bimatrix(-a2i @ np.conj(a1) @ s2i, s2i)
+
+
+def pbh_oracle(m0, g, points, rtol, tall=False):
+    """PBH rank test ``(passed, margin, threshold)`` with one SVD per point.
+
+    The pencil is ``[sI - m0, g]``, or ``[sI - m0; g]`` when ``tall``.  The
+    margin is the smallest singular value over the points (infinite when
+    there are none) and the threshold is ``rtol * max(1, |[m0, g]|_2)``.
+    """
+    stack = np.vstack if tall else np.hstack
+    eye = np.eye(m0.shape[0])
+    threshold = rtol * max(1.0, np.linalg.norm(stack([m0, g]), 2))
+    margin = np.inf
+    for s in points:
+        sv = np.linalg.svd(stack([s * eye - m0, g]), compute_uv=False)
+        margin = min(margin, sv[-1])
+    return margin > threshold, margin, threshold
+
+
+def lifted_pbh_oracle(sysm, rtol, stability_tol):
+    """The four lifted PBH tests of a system, pencils built from :func:`lift`.
+
+    Returns a dict of :func:`pbh_oracle` triples keyed like a structure report.
+    The bad region is ``Re s >= -tol`` (continuous) or ``|s| >= 1 - tol``.
+    """
+    al, bl, cl = lift(sysm.a), lift(sysm.b), lift(sysm.c)
+    pts = np.linalg.eigvals(sysm.a.real_representation())
+    if getattr(sysm.domain, "value", sysm.domain) == "continuous":
+        bad = pts[pts.real >= -stability_tol]
+    else:
+        bad = pts[np.abs(pts) >= 1.0 - stability_tol]
+    return {
+        "controllable": pbh_oracle(al, bl, pts, rtol),
+        "observable": pbh_oracle(al, cl, pts, rtol, tall=True),
+        "stabilizable": pbh_oracle(al, bl, bad, rtol),
+        "detectable": pbh_oracle(al, cl, bad, rtol, tall=True),
+    }
+
+
 def antilinear_series_pair(a2, t, tol=1e-17, max_terms=300):
     """Transition pair of a conjugate-driven system by direct series summation.
 

@@ -28,7 +28,7 @@ from bimatrix import (
     transition_pair,
     unarrow,
 )
-from bimatrix.analysis import solve_lyapunov_real
+from bimatrix.analysis import PBH_RTOL, STABILITY_TOL, solve_lyapunov_real
 from bimatrix.exceptions import (
     NoPositiveDefiniteSolutionError,
     NoUniqueSolutionError,
@@ -39,6 +39,8 @@ from helpers import (
     antilinear_series_pair,
     kron_lyapunov,
     lift,
+    lifted_pbh_oracle,
+    pbh_oracle,
     rand_bimatrix,
     rand_cmatrix,
     rand_stable_system,
@@ -324,6 +326,132 @@ class TestStructuralTests:
             assert set(rep.margins()) == {
                 "controllable", "observable", "stabilizable", "detectable",
             }
+
+
+def _oracle_plant(seed, kind, n, domain, stable):
+    """Random plant of one structure class, scaled or shifted to (in)stability."""
+    rng = np.random.default_rng(seed)
+
+    def part(rows, cols):
+        first, second = rand_cmatrix(rng, rows, cols), rand_cmatrix(rng, rows, cols)
+        if kind == "normal":
+            return Bimatrix.normal(first)
+        if kind == "antilinear":
+            return Bimatrix.antilinear(second)
+        return Bimatrix(first, second)
+
+    a = part(n, n)
+    lam = np.linalg.eigvals(a.real_representation())
+    if domain == "discrete":
+        a = ((0.5 if stable else 1.5) / float(np.max(np.abs(lam)))) * a
+    elif kind != "antilinear":
+        # a continuous antilinear spectrum is symmetric about 0: never stable
+        top = float(np.max(lam.real))
+        a = a - ((top + 0.5) if stable else (top - 0.5)) * Bimatrix.identity(n)
+    return CxSystem(a, part(n, 2), part(2, n), part(2, 2), domain)
+
+
+def _assert_matches_oracle(test, expected):
+    passed, margin, threshold = expected
+    assert test.passed == passed
+    assert test.margin == pytest.approx(margin, rel=1e-12, abs=0.0)
+    assert test.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0)
+
+
+_ORACLE_CASES = [
+    (kind, n, domain, stable)
+    for kind in ("general", "normal", "antilinear")
+    for n in (1, 2, 8)
+    for domain in ("continuous", "discrete")
+    for stable in (True, False)
+    if not (kind == "antilinear" and domain == "continuous" and stable)
+]
+
+
+class TestPbhKernelAgainstOracle:
+    """Every structural margin against per-point SVDs of independently built pencils."""
+
+    @pytest.mark.parametrize("kind,n,domain,stable", _ORACLE_CASES)
+    def test_lifted_tests_match_oracle(self, kind, n, domain, stable):
+        sysm = _oracle_plant(100 * n + len(kind), kind, n, domain, stable)
+        expected = lifted_pbh_oracle(sysm, PBH_RTOL, STABILITY_TOL)
+        rep = structure_report(sysm)
+        assert rep.stable == stable
+        standalone = {
+            "controllable": is_controllable(sysm),
+            "observable": is_observable(sysm),
+            "stabilizable": is_stabilizable(sysm),
+            "detectable": is_detectable(sysm),
+        }
+        for name, want in expected.items():
+            _assert_matches_oracle(getattr(rep, name), want)
+            _assert_matches_oracle(standalone[name], want)
+        if stable:
+            assert rep.stabilizable.margin == rep.detectable.margin == np.inf
+        else:
+            assert np.isfinite(rep.stabilizable.margin)
+            assert np.isfinite(rep.detectable.margin)
+
+    def test_pencils_spanning_several_batches(self):
+        # 104 lifted pencils of 104 x 108 entries exceed one batched SVD call
+        sysm = _oracle_plant(52, "general", 52, "continuous", stable=False)
+        expected = lifted_pbh_oracle(sysm, PBH_RTOL, STABILITY_TOL)
+        rep = structure_report(sysm)
+        for name, want in expected.items():
+            _assert_matches_oracle(getattr(rep, name), want)
+
+    @pytest.mark.parametrize("kind,n,domain,stable", [
+        case for case in _ORACLE_CASES if case[0] == "antilinear"
+    ])
+    def test_reduced_tests_match_oracle(self, kind, n, domain, stable):
+        sysm = _oracle_plant(100 * n + len(kind), kind, n, domain, stable)
+        a2, b2, c2 = sysm.a.second, sysm.b.second, sysm.c.second
+        m0 = np.conj(a2) @ a2
+        _assert_matches_oracle(
+            antilinear_controllable(a2, b2),
+            pbh_oracle(m0, np.hstack([np.conj(b2), np.conj(a2) @ b2]),
+                       np.linalg.eigvals(m0), PBH_RTOL),
+        )
+        _assert_matches_oracle(
+            antilinear_observable(a2, c2),
+            pbh_oracle(m0, np.vstack([c2, np.conj(c2) @ a2]),
+                       np.linalg.eigvals(m0), PBH_RTOL, tall=True),
+        )
+        m1 = a2 @ np.conj(a2)
+        mu = np.linalg.eigvals(m1)
+        _assert_matches_oracle(
+            antilinear_stabilizable_discrete(a2, b2),
+            pbh_oracle(m1, np.hstack([b2, a2 @ np.conj(b2)]),
+                       mu[np.abs(mu) >= 1.0 - STABILITY_TOL], PBH_RTOL),
+        )
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_zero_input_plant_fails(self, domain):
+        sysm = _oracle_plant(7, "general", 2, domain, stable=False)
+        sysm = CxSystem(sysm.a, Bimatrix.zeros(2, 2), sysm.c, sysm.d, domain)
+        expected = lifted_pbh_oracle(sysm, PBH_RTOL, STABILITY_TOL)
+        rep = structure_report(sysm)
+        assert not rep.controllable and not rep.stabilizable
+        assert not is_controllable(sysm) and not is_stabilizable(sysm)
+        for name in ("controllable", "stabilizable"):
+            _assert_matches_oracle(getattr(rep, name), expected[name])
+        a2 = rand_cmatrix(np.random.default_rng(3), 2, 2)
+        assert not antilinear_controllable(a2, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("domain,edge", [("continuous", 0.0), ("discrete", 1.0)])
+    def test_bad_region_boundary(self, domain, edge):
+        # an unreachable mode 1e-6 inside the stable region is not tested;
+        # one within STABILITY_TOL of the boundary is, and fails
+        for offset, inside in ((1e-6, True), (0.1 * STABILITY_TOL, False)):
+            sysm = CxSystem(Bimatrix.normal([[edge - offset]]), Bimatrix.zeros(1, 1),
+                            Bimatrix.identity(1), Bimatrix.zeros(1, 1), domain)
+            rep = structure_report(sysm)
+            assert rep.stable == inside == is_asymptotically_stable(sysm)
+            assert rep.stabilizable.passed == inside == is_stabilizable(sysm).passed
+            _assert_matches_oracle(
+                rep.stabilizable,
+                lifted_pbh_oracle(sysm, PBH_RTOL, STABILITY_TOL)["stabilizable"],
+            )
 
 
 class TestStability:

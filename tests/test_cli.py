@@ -211,7 +211,11 @@ class TestSimulateVerb:
         report = json.loads(out)
         assert report["results"]["final_error_norm"] <= 1e-6
         header = (workdir / "obs.csv").read_text().splitlines()[0]
-        assert "z1_re" in header and "z2_im" in header
+        # plant groups first, the observer estimate z last
+        assert header == (
+            "t,x1_re,x1_im,x2_re,x2_im,u1_re,u1_im,y1_re,y1_im,y2_re,y2_im,"
+            "z1_re,z1_im,z2_re,z2_im"
+        )
 
     def test_discrete_grid_needs_no_dt(self, workdir, capsys):
         sysm = make_antilinear([[0.5]], [[1.0]], domain="discrete")

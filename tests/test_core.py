@@ -15,8 +15,7 @@ from bimatrix import (
     quadratic_form_real,
 )
 from bimatrix.core import (
-    _inverse_first_schur,
-    _inverse_second_schur,
+    _spectrum_mismatch,
     bimatrix_from_json,
     bimatrix_to_json,
     cmatrix_from_json,
@@ -26,7 +25,13 @@ from bimatrix.core import (
 )
 from bimatrix.exceptions import DimensionError, SingularBimatrixError, SpectrumError
 
-from helpers import lift, rand_bimatrix, rand_cmatrix
+from helpers import (
+    inverse_first_schur,
+    inverse_second_schur,
+    lift,
+    rand_bimatrix,
+    rand_cmatrix,
+)
 
 
 class TestApply:
@@ -259,8 +264,8 @@ class TestInverse:
                 rand_cmatrix(rng, 3, 3) + 3 * np.eye(3),
             )
             inv = a.inverse()
-            assert _inverse_first_schur(a).allclose(inv, atol=1e-9)
-            assert _inverse_second_schur(a).allclose(inv, atol=1e-9)
+            assert inverse_first_schur(a).allclose(inv, atol=1e-9)
+            assert inverse_second_schur(a).allclose(inv, atol=1e-9)
 
 
 class TestPower:
@@ -439,11 +444,30 @@ class TestSpectrumSet:
         out = conjugate_complete([1j, 1j, -1j])
         assert multiset(out) == multiset([1j, 1j, -1j, -1j])
 
-    def test_matches_is_multiset_equality(self):
+    def test_matches_is_multiset_equality(self, rng):
         a = SpectrumSet([1j, -1j, 2.0])
         assert a.matches([2.0 + 1e-9, 1j, -1j])
         assert not a.matches([2.0, 1j, 1j])
         assert not a.matches([2.0, 1j, -1j, 0.0])
+        # shuffled, perturbed inside/outside rtol * (1 + |v|), NaN, wrong sizes:
+        # matches is the length check plus the greedy mismatch
+        rtol = 1e-6
+        a = SpectrumSet([1j, -1j, 2.0, -3.0 + 4.0j, -3.0 - 4.0j])
+        vals = np.array(a.values)
+        bound = rtol * (1.0 + np.abs(vals))
+        cases = {
+            "shuffled": (rng.permutation(vals), True),
+            "inside": (vals + 0.99 * bound * np.exp(1j * rng.uniform(0, 6.28, vals.size)), True),
+            "outside": (vals + np.where(np.arange(vals.size) == 3, 1.01 * bound, 0.0), False),
+            "nan": (np.where(np.arange(vals.size) == 0, np.nan, vals), False),
+            "short": (vals[:-1], False),
+            "long": (np.append(vals, 0.0), False),
+        }
+        for name, (other, expected) in cases.items():
+            got = a.matches(other, rtol=rtol)
+            assert got is expected, name
+            if len(other) == len(vals):
+                assert got == (_spectrum_mismatch(other, vals) <= rtol), name
 
 
 def multiset(values):
