@@ -17,6 +17,7 @@ import scipy.linalg
 from .core import (
     Bimatrix,
     SpectrumSet,
+    _is_pd_hermitian,
     arrow,
     as_cvector,
     hermite_from_real_representation,
@@ -262,12 +263,12 @@ def _rank_test(margins, scale, rtol):
     return RankTest(margin > threshold, margin, threshold)
 
 
-def _bad_region_mask(values, domain, tol=STABILITY_TOL):
+def _bad_region_mask(values, domain):
     """True where a value is not strictly inside the stable region of the domain."""
     values = np.asarray(values)
     if domain.is_continuous:
-        return ~(values.real < -tol)
-    return ~(np.abs(values) < 1.0 - tol)
+        return ~(values.real < -STABILITY_TOL)
+    return ~(np.abs(values) < 1.0 - STABILITY_TOL)
 
 
 def _lifted_test(sys, g_bm, rtol, tall=False, bad_only=False):
@@ -297,9 +298,9 @@ def is_detectable(sys, rtol=PBH_RTOL):
     return _lifted_test(sys, sys.c, rtol, tall=True, bad_only=True)
 
 
-def is_asymptotically_stable(sys, tol=STABILITY_TOL):
+def is_asymptotically_stable(sys):
     """All eigenvalues strictly inside the stable region of the domain."""
-    return not np.any(_bad_region_mask(sys.spectrum().values, sys.domain, tol))
+    return not np.any(_bad_region_mask(sys.spectrum().values, sys.domain))
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,21 @@ def _solve_lyapunov_refined(a, w, continuous):
     continuous one above.  One refinement step follows: the equation is
     solved again for the residual and the correction added.  Returns the
     Hermitian part of the solution and the norm of its residual.
+
+    An operator eigenvalue ``conj(lam_i) + lam_j`` (``conj(lam_i) lam_j - 1``
+    in discrete time) within ``1e-10 * max(1, max|lam|)`` of zero, the scale
+    squared in discrete time, raises :class:`NoUniqueSolutionError` first.
     """
+    lam = np.linalg.eigvals(a)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    if continuous:
+        gaps, limit = np.conj(lam)[:, None] + lam, 1e-10 * scale
+    else:
+        gaps, limit = np.conj(lam)[:, None] * lam - 1.0, 1e-10 * scale**2
+    if np.min(np.abs(gaps)) <= limit:
+        raise NoUniqueSolutionError(
+            "an eigenvalue pair makes the Lyapunov operator singular; no unique solution"
+        )
     # SciPy solves ``m X + X m^H = q`` and ``m X m^H - X = -q``; with
     # ``m = a^H`` each ``solve(rhs)`` below returns the X with ``op(X) = rhs``
     ah = a.conj().T
@@ -406,7 +421,7 @@ def _solve_lyapunov_refined(a, w, continuous):
     return p, np.linalg.norm(op(p) + w)
 
 
-def solve_lyapunov_real(a, w, continuous, pair_rtol=1e-10):
+def solve_lyapunov_real(a, w, continuous):
     """Solve ``a^T P + P a = -w`` or ``a^T P a - P = -w`` for symmetric ``P``.
 
     ``scipy.linalg.solve_continuous_lyapunov`` / ``solve_discrete_lyapunov``,
@@ -414,21 +429,6 @@ def solve_lyapunov_real(a, w, continuous, pair_rtol=1e-10):
     eigenvalue pair that makes the operator singular is rejected up front,
     and a solution whose residual exceeds ``1e-6 * max(1, |w|)`` is refused.
     """
-    n = a.shape[0]
-    lam = np.linalg.eigvals(a)
-    scale = max(1.0, float(np.max(np.abs(lam))) if n else 1.0)
-    if continuous:
-        gaps = np.abs(lam[:, None] + lam[None, :])
-        if np.min(gaps) <= pair_rtol * scale:
-            raise NoUniqueSolutionError(
-                "eigenvalue pair with lam_i + lam_j = 0; no unique solution"
-            )
-    else:
-        gaps = np.abs(lam[:, None] * lam[None, :] - 1.0)
-        if np.min(gaps) <= pair_rtol * max(1.0, scale**2):
-            raise NoUniqueSolutionError(
-                "eigenvalue pair with lam_i * lam_j = 1; no unique solution"
-            )
     p, res = _solve_lyapunov_refined(a, w, continuous)
     if res > 1e-6 * max(1.0, np.linalg.norm(w)):
         raise NoUniqueSolutionError(
@@ -463,34 +463,26 @@ def solve_lyapunov(sys, c_bm=None):
     return hermite_from_real_representation(p)
 
 
-def antilinear_lyapunov_reduced(a2, c_n, require_pd=True):
+def antilinear_lyapunov_reduced(a2, c_n):
     """Solve ``M^H P M - P = -C_N^H C_N`` with ``M = conj(A2) A2``.
 
     This is the reduced, decoupled form of the discrete stability equation
     for a purely conjugate-driven system.  Returns a Hermitian matrix.
 
-    Parameters
-    ----------
-    require_pd : bool
-        When true (default), raise :class:`NoPositiveDefiniteSolutionError`
-        if the solved matrix is not positive definite, which by the stability
+    Raises
+    ------
+    NoUniqueSolutionError
+        When an eigenvalue pair of ``M`` has ``conj(mu_i) mu_j = 1``.
+    NoPositiveDefiniteSolutionError
+        If the solved matrix is not positive definite, which by the stability
         theory means the system is not asymptotically stable.
     """
     a2 = np.asarray(a2, dtype=complex)
     c_n = np.asarray(c_n, dtype=complex)
     m0 = np.conj(a2) @ a2
-    w = c_n.conj().T @ c_n
-    mu = np.linalg.eigvals(m0)
-    gaps = np.abs(np.conj(mu)[:, None] * mu[None, :] - 1.0)
-    if np.min(gaps) <= 1e-10 * max(1.0, float(np.max(np.abs(mu))) ** 2):
-        raise NoUniqueSolutionError(
-            "eigenvalue pair with conj(mu_i) mu_j = 1; no unique solution"
+    p, _ = _solve_lyapunov_refined(m0, c_n.conj().T @ c_n, continuous=False)
+    if not _is_pd_hermitian(p):
+        raise NoPositiveDefiniteSolutionError(
+            "no positive definite solution: the system is not asymptotically stable"
         )
-    p, _ = _solve_lyapunov_refined(m0, w, continuous=False)
-    if require_pd:
-        w_eigs = np.linalg.eigvalsh(p)
-        if w_eigs[0] <= 1e-10 * max(abs(float(w_eigs[0])), abs(float(w_eigs[-1]))):
-            raise NoPositiveDefiniteSolutionError(
-                "no positive definite solution: the system is not asymptotically stable"
-            )
     return p

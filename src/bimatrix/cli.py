@@ -39,8 +39,8 @@ from .analysis import (
 )
 from .design import (
     DEFAULT_SEED,
-    MAX_GRID_STEPS,
     WeightPair,
+    _grid_span,
     assign_eigenvalues,
     closed_loop,
     design_observer,
@@ -147,8 +147,7 @@ def _resolve_seed(args):
 
 def _cmd_analyze(args):
     sysm = _load_system(args.system)
-    rtol = args.tol if args.tol is not None else PBH_RTOL
-    rep = structure_report(sysm, rtol=rtol)
+    rep = structure_report(sysm, rtol=args.tol)
     tests = {name: getattr(rep, name) for name in RANK_TESTS}
     results = {name: t.passed for name, t in tests.items()}
     results.update(stable=rep.stable, spectrum=_spectrum_json(rep.spectrum))
@@ -156,16 +155,15 @@ def _cmd_analyze(args):
         name: {"passed": t.passed, "margin": t.margin, "threshold": t.threshold}
         for name, t in tests.items()
     }
-    diagnostics = {"margins": margins, "rank_rtol": rtol}
+    diagnostics = {"margins": margins, "rank_rtol": args.tol}
     return _report("analyze", sysm, results, diagnostics)
 
 
 def _cmd_place(args):
     sysm = _load_system(args.system)
     gamma = _parse_spectrum(args.spectrum, 2 * sysm.n)
-    rng = np.random.default_rng(_resolve_seed(args))
-    rtol = args.tol if args.tol is not None else PBH_RTOL
-    gain = assign_eigenvalues(sysm, gamma, rng=rng, rtol=rtol)
+    seed = _resolve_seed(args)
+    gain = assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(seed), rtol=args.tol)
     achieved = closed_loop(sysm, gain).spectrum()
     deviation = _spectrum_mismatch(achieved.values, gamma)
     results = {
@@ -173,22 +171,21 @@ def _cmd_place(args):
         "achieved_spectrum": _spectrum_json(achieved),
         "requested_spectrum": [_jsonable(v) for v in gamma],
     }
-    diagnostics = {"spectrum_deviation": deviation, "seed": _resolve_seed(args)}
+    diagnostics = {"spectrum_deviation": deviation, "seed": seed}
     return _report("place", sysm, results, diagnostics)
 
 
 def _cmd_stabilize(args):
     sysm = _load_system(args.system)
-    rng = np.random.default_rng(_resolve_seed(args))
-    rtol = args.tol if args.tol is not None else PBH_RTOL
-    gain = stabilize(sysm, rng=rng, rtol=rtol)
+    seed = _resolve_seed(args)
+    gain = stabilize(sysm, rng=np.random.default_rng(seed), rtol=args.tol)
     cl = closed_loop(sysm, gain)
     results = {
         "gain": bimatrix_to_json(gain),
         "closed_loop_spectrum": _spectrum_json(cl.spectrum()),
         "closed_loop_stable": is_asymptotically_stable(cl),
     }
-    return _report("stabilize", sysm, results, {"seed": _resolve_seed(args)})
+    return _report("stabilize", sysm, results, {"seed": seed})
 
 
 def _load_weight(path, n, name):
@@ -202,9 +199,8 @@ def _cmd_lqr(args):
     sysm = _load_system(args.system)
     q = _load_weight(args.q, sysm.n, "q")
     r = _load_weight(args.r, sysm.m, "r")
-    rng = np.random.default_rng(_resolve_seed(args))
-    rtol = args.tol if args.tol is not None else PBH_RTOL
-    sol = lqr(sysm, WeightPair(q, r), rng=rng, rtol=rtol)
+    seed = _resolve_seed(args)
+    sol = lqr(sysm, WeightPair(q, r), rtol=args.tol)
     cl = closed_loop(sysm, sol.gain)
     results = {
         "p": bimatrix_to_json(sol.p),
@@ -215,7 +211,7 @@ def _cmd_lqr(args):
     diagnostics = {
         "are_residual": sol.residual,
         "iterations": sol.iterations,
-        "seed": _resolve_seed(args),
+        "seed": seed,
     }
     return _report("lqr", sysm, results, diagnostics)
 
@@ -223,9 +219,8 @@ def _cmd_lqr(args):
 def _cmd_observer(args):
     sysm = _load_system(args.system)
     gamma = _parse_spectrum(args.spectrum, 2 * sysm.n)
-    rng = np.random.default_rng(_resolve_seed(args))
-    rtol = args.tol if args.tol is not None else PBH_RTOL
-    gain = design_observer(sysm, gamma, rng=rng, rtol=rtol)
+    seed = _resolve_seed(args)
+    gain = design_observer(sysm, gamma, rng=np.random.default_rng(seed), rtol=args.tol)
     achieved = (sysm.a + gain @ sysm.c).eigenvalues()
     results = {
         "observer_gain": bimatrix_to_json(gain),
@@ -234,7 +229,7 @@ def _cmd_observer(args):
     }
     diagnostics = {
         "spectrum_deviation": _spectrum_mismatch(achieved.values, gamma),
-        "seed": _resolve_seed(args),
+        "seed": seed,
     }
     return _report("observer", sysm, results, diagnostics)
 
@@ -244,23 +239,19 @@ def _build_times(sysm, horizon, dt):
     if continuous:
         if dt is None or dt <= 0:
             raise ValueError("continuous simulation requires --dt > 0")
-        span = float(horizon) / dt
     else:
         if dt is not None and dt != 1:
             raise ValueError("discrete simulation uses unit steps; omit --dt or pass 1")
-        span, dt = float(horizon), 1.0
-    # checked before any conversion or allocation; also rejects inf and NaN
-    if not span <= MAX_GRID_STEPS:
-        raise ValueError(
-            f"--horizon must be finite and span at most {MAX_GRID_STEPS:.0e} steps"
-        )
+        dt = 1.0
+    span = _grid_span(horizon, dt)  # checked before any conversion or allocation
     steps = round(span) if continuous else int(span)
     if continuous and steps < 1:
         raise ValueError("--horizon must cover at least one step")
     return np.arange(steps + 1, dtype=float) * dt
 
 
-def _load_input(arg, times, m):
+def _load_input(arg):
+    """Per-step input vectors from a ``--u`` file; ``state_response`` checks their shape."""
     if arg is None or arg == "zero":
         return None
     raw = _load_json(arg)
@@ -268,14 +259,7 @@ def _load_input(arg, times, m):
         raw = raw.get("values")
     if not isinstance(raw, list):
         raise ValueError("--u file must hold a list of per-step input vectors")
-    samples = np.array([cvector_from_json(row, f"u[{k}]") for k, row in enumerate(raw)])
-    if samples.ndim == 1:
-        samples = samples.reshape(-1, 1)
-    if samples.shape != (times.size, m):
-        raise ValueError(
-            f"input samples must have shape {(times.size, m)}, got {samples.shape}"
-        )
-    return samples
+    return np.array([cvector_from_json(row, f"u[{k}]") for k, row in enumerate(raw)])
 
 
 def _cmd_simulate(args):
@@ -287,7 +271,7 @@ def _cmd_simulate(args):
     if args.observer:
         observer = bimatrix_from_json(_load_json(args.observer), "observer gain")
     times = _build_times(sysm, args.horizon, args.dt)
-    u = _load_input(args.u, times, sysm.m)
+    u = _load_input(args.u)
 
     observer_states = None
     if observer is not None:
@@ -367,8 +351,8 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${ENV_SEED} or {DEFAULT_SEED})")
     common.add_argument("--out", default=None, help="write the JSON report here")
-    common.add_argument("--tol", type=float, default=None,
-                        help="rank-test tolerance override")
+    common.add_argument("--tol", type=float, default=PBH_RTOL,
+                        help=f"rank-test tolerance (default {PBH_RTOL:g})")
 
     parser = argparse.ArgumentParser(
         prog="bimatrix",

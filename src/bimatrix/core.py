@@ -240,20 +240,20 @@ class Bimatrix:
 
     # -- inverse, power, exponent, spectrum ------------------------------------
 
-    def inverse(self, rcond_floor=RCOND_FLOOR):
+    def inverse(self):
         """Inverse bimatrix, computed through the complex lifting.
 
         Raises
         ------
         SingularBimatrixError
             If the lifting's reciprocal condition number falls below
-            ``rcond_floor``.
+            ``RCOND_FLOOR``.
         """
         if not self.is_square:
             raise DimensionError("only square bimatrices can be inverted")
         lift = self.complex_lifting()
         sv = np.linalg.svd(lift, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= rcond_floor * sv[0]:
+        if sv[0] == 0.0 or sv[-1] <= RCOND_FLOOR * sv[0]:
             rc = 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
             raise SingularBimatrixError(
                 f"bimatrix is singular to working precision (rcond ~ {rc:.2e})"
@@ -367,7 +367,7 @@ class HermiteBimatrix(Bimatrix):
 
     __slots__ = ()
 
-    def __init__(self, p1, p2=None, tol=HERMITE_RTOL):
+    def __init__(self, p1, p2=None):
         p1 = as_cmatrix(p1, "first part")
         if p2 is None:
             p2 = np.zeros_like(p1)
@@ -376,9 +376,9 @@ class HermiteBimatrix(Bimatrix):
             raise DimensionError("Hermite bimatrix must be square")
         r1 = np.linalg.norm(self.first - self.first.conj().T)
         r2 = np.linalg.norm(self.second - self.second.T)
-        if r1 > tol * max(1.0, np.linalg.norm(self.first)):
+        if r1 > HERMITE_RTOL * max(1.0, np.linalg.norm(self.first)):
             raise ValueError("first part is not Hermitian within tolerance")
-        if r2 > tol * max(1.0, np.linalg.norm(self.second)):
+        if r2 > HERMITE_RTOL * max(1.0, np.linalg.norm(self.second)):
             raise ValueError("second part is not symmetric within tolerance")
 
     def is_positive_definite(self):
@@ -391,13 +391,19 @@ class HermiteBimatrix(Bimatrix):
         return f"HermiteBimatrix(shape={self.shape})"
 
 
-def hermite_from_real_representation(mat, tol=HERMITE_RTOL):
+def hermite_from_real_representation(mat):
     """Map a symmetric real ``2n x 2n`` matrix to its Hermite bimatrix."""
     bm = Bimatrix.from_real_representation(mat)
-    return HermiteBimatrix(bm.first, bm.second, tol=tol)
+    return HermiteBimatrix(bm.first, bm.second)
 
 
-def is_positive_definite(p, sym_rtol=HERMITE_RTOL, eig_rtol=PD_EIG_RTOL):
+def _is_pd_hermitian(mat):
+    """True iff the Hermitian ``mat`` has ``min eig > PD_EIG_RTOL * max |eig|``."""
+    w = np.linalg.eigvalsh(mat)
+    return float(w[0]) > PD_EIG_RTOL * max(abs(float(w[0])), abs(float(w[-1])))
+
+
+def is_positive_definite(p):
     """True iff the real representation of ``p`` is symmetric positive definite.
 
     Accepts any square bimatrix; a pair whose representation is not symmetric
@@ -407,11 +413,9 @@ def is_positive_definite(p, sym_rtol=HERMITE_RTOL, eig_rtol=PD_EIG_RTOL):
     if not p.is_square:
         raise DimensionError("definiteness is defined for square bimatrices")
     rep = p.real_representation()
-    if np.linalg.norm(rep - rep.T) > sym_rtol * max(1.0, np.linalg.norm(rep)):
+    if np.linalg.norm(rep - rep.T) > HERMITE_RTOL * max(1.0, np.linalg.norm(rep)):
         return False
-    w = np.linalg.eigvalsh((rep + rep.T) / 2.0)
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    return float(w[0]) > eig_rtol * scale
+    return _is_pd_hermitian((rep + rep.T) / 2.0)
 
 
 def quadratic_form_real(p, x):
@@ -421,10 +425,6 @@ def quadratic_form_real(p, x):
     representation of ``p``.
     """
     x = as_cvector(x)
-    if x.shape[0] != p.cols:
-        raise DimensionError(
-            f"vector of length {x.shape[0]} incompatible with {p.shape} bimatrix"
-        )
     return float(np.real(np.vdot(x, p.apply(x))))
 
 
@@ -433,35 +433,31 @@ def quadratic_form_real(p, x):
 # ---------------------------------------------------------------------------
 
 
-def _pair_tol(value, rtol):
-    return rtol * max(1.0, abs(value))
+def _conjugate_pairing(values):
+    """Pair values with their conjugates within ``CONJ_PAIR_RTOL * max(1, |v|)``.
 
-
-def _conjugate_pairing(values, rtol):
-    """Pair values with their conjugates; returns indices left unpaired."""
-    order = np.argsort(-np.abs(np.imag(values)))
-    unpaired = []
-    used = np.zeros(len(values), dtype=bool)
-    for i in order:
+    Returns ``(groups, unpaired)``: ``(i,)`` for a value that counts as real,
+    ``(i, j)`` for a conjugate pair, and the indices left without a partner.
+    """
+    vals, used = values.tolist(), [False] * len(values)
+    groups, unpaired = [], []
+    for i in np.argsort(-np.abs(np.imag(values))).tolist():
         if used[i]:
             continue
-        v = values[i]
         used[i] = True
-        if abs(v.imag) <= _pair_tol(v, rtol):
+        v, target = vals[i], vals[i].conjugate()
+        tol = CONJ_PAIR_RTOL * max(1.0, abs(v))
+        if abs(v.imag) <= tol:
+            groups.append((i,))
             continue
-        target = np.conj(v)
-        best, best_d = -1, np.inf
-        for j in range(len(values)):
-            if used[j]:
-                continue
-            d = abs(values[j] - target)
-            if d < best_d:
-                best, best_d = j, d
-        if best >= 0 and best_d <= _pair_tol(v, rtol):
-            used[best] = True
+        free = [j for j in range(len(vals)) if not used[j]]
+        j = min(free, key=lambda j: abs(vals[j] - target), default=None)
+        if j is not None and abs(vals[j] - target) <= tol:
+            used[j] = True
+            groups.append((i, j))
         else:
             unpaired.append(i)
-    return unpaired
+    return groups, unpaired
 
 
 def _spectrum_mismatch(got, want):
@@ -478,10 +474,10 @@ def _spectrum_mismatch(got, want):
     return float(np.max(dists, initial=0.0))
 
 
-def conjugate_complete(values, rtol=CONJ_PAIR_RTOL):
+def conjugate_complete(values):
     """Append missing conjugates so the multiset becomes conjugate-closed."""
     vals = np.asarray(values, dtype=complex).reshape(-1)
-    extra = [np.conj(vals[i]) for i in _conjugate_pairing(vals, rtol)]
+    extra = [np.conj(vals[i]) for i in _conjugate_pairing(vals)[1]]
     return np.concatenate([vals, np.asarray(extra, dtype=complex)]) if extra else vals
 
 
@@ -494,9 +490,9 @@ class SpectrumSet:
 
     __slots__ = ("_values",)
 
-    def __init__(self, values, pairing_rtol=CONJ_PAIR_RTOL):
+    def __init__(self, values):
         vals = np.sort_complex(np.asarray(values, dtype=complex).reshape(-1))
-        if _conjugate_pairing(vals, pairing_rtol):
+        if _conjugate_pairing(vals)[1]:
             raise SpectrumError(
                 "eigenvalue multiset is not closed under conjugation"
             )

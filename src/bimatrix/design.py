@@ -19,6 +19,7 @@ from .core import (
     Bimatrix,
     HermiteBimatrix,
     SpectrumSet,
+    _conjugate_pairing,
     _spectrum_mismatch,
     block_bimatrix,
     hermite_from_real_representation,
@@ -78,6 +79,8 @@ ARE_NEWTON_STEPS = 3
 ARE_POLISH_RTOL = math.sqrt(np.finfo(float).eps)
 # Longest time grid a cost or simulation may allocate.
 MAX_GRID_STEPS = 2_000_000
+# Random Sylvester parameters drawn per placement before giving up.
+PLACEMENT_DRAWS = 20
 
 
 def _rng(rng):
@@ -91,31 +94,32 @@ def _rng(rng):
 # ---------------------------------------------------------------------------
 
 
-def _real_spectrum_matrix(values, rtol=1e-8):
-    """Real block-diagonal matrix with the given conjugate-closed spectrum."""
-    blocks = []
-    pool = list(np.asarray(values, dtype=complex))
-    pool.sort(key=lambda v: (v.real, abs(v.imag), v.imag))
-    while pool:
-        v = pool.pop(0)
-        if abs(v.imag) <= rtol * (1.0 + abs(v)):
-            blocks.append(np.array([[v.real]]))
-            continue
-        target = np.conj(v)
-        best = min(range(len(pool)), key=lambda j: abs(pool[j] - target))
-        if abs(pool[best] - target) > rtol * (1.0 + abs(v)):
-            raise SpectrumError("spectrum is not closed under conjugation")
-        pool.pop(best)
-        a, b = v.real, abs(v.imag)
-        blocks.append(np.array([[a, b], [-b, a]]))
-    return scipy.linalg.block_diag(*blocks)
+def _real_spectrum_matrix(values):
+    """Real block-diagonal matrix with the given conjugate-closed spectrum.
+
+    Blocks are built from, and sorted by, each pair's first member in
+    ``(Re, |Im|, Im)`` order.
+    """
+    values = np.asarray(values, dtype=complex)
+    groups, unpaired = _conjugate_pairing(values)
+    if unpaired:
+        raise SpectrumError("spectrum is not closed under conjugation")
+    blocks = sorted(
+        (min((v.real, abs(v.imag), v.imag) for v in values[list(g)]), len(g)) for g in groups
+    )
+    out = np.zeros((values.size, values.size))
+    k = 0
+    for (re, im, _), size in blocks:
+        out[k:k + size, k:k + size] = [[re]] if size == 1 else [[re, im], [-im, re]]
+        k += size
+    return out
 
 
-def _place_once(a, b, lam_mat, targets, rng, retries, rcond_min=1e-10):
+def _place_once(a, b, lam_mat, targets, rng):
     n = a.shape[0]
     m = b.shape[1]
     complex_data = np.iscomplexobj(a) or np.iscomplexobj(b)
-    for _ in range(retries):
+    for _ in range(PLACEMENT_DRAWS):
         g = rng.standard_normal((m, n))
         if complex_data:
             g = g + 1j * rng.standard_normal((m, n))
@@ -124,17 +128,17 @@ def _place_once(a, b, lam_mat, targets, rng, retries, rcond_min=1e-10):
         except (np.linalg.LinAlgError, ValueError):
             continue
         sv = np.linalg.svd(x, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= rcond_min * sv[0]:
+        if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
             continue
         k = np.linalg.solve(x.T, g.T).T
         if _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets) <= PLACEMENT_RTOL:
             return k
     raise PlacementError(
-        f"eigenvalue placement failed after {retries} parameter draws"
+        f"eigenvalue placement failed after {PLACEMENT_DRAWS} parameter draws"
     )
 
 
-def _place(a, b, targets, rng, retries=20, _depth=0):
+def _place(a, b, targets, rng, _depth=0):
     """Gain K with ``spectrum(a + b K) = targets`` via a random-parameter
     Sylvester solve ``a X - X L = -b G``, ``K = G X^{-1}``.
 
@@ -155,14 +159,14 @@ def _place(a, b, targets, rng, retries=20, _depth=0):
             float(np.max(np.abs(open_eigs))), float(np.max(np.abs(targets)))
         )
         mids = -radius * (1.0 + 0.5 * np.arange(1, n + 1, dtype=float))
-        k1 = _place(a, b, mids.astype(complex), rng, retries, _depth + 1)
-        k2 = _place(a + b @ k1, b, targets, rng, retries, _depth + 1)
+        k1 = _place(a, b, mids.astype(complex), rng, _depth + 1)
+        k2 = _place(a + b @ k1, b, targets, rng, _depth + 1)
         return k1 + k2
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         lam_mat = np.diag(targets)
     else:
         lam_mat = _real_spectrum_matrix(targets)
-    return _place_once(a, b, lam_mat, targets, rng, retries)
+    return _place_once(a, b, lam_mat, targets, rng)
 
 
 def _as_spectrum(gamma, n, what):
@@ -256,7 +260,7 @@ def stabilize(sys, rng=None, rtol=PBH_RTOL):
         raise NotStabilizableError("system is not stabilizable")
     rng = _rng(rng)
     try:
-        gain = lqr(sys, rng=rng, rtol=rtol).gain
+        gain = lqr(sys, rtol=rtol).gain
     except (RiccatiError, PlacementError):
         gamma = _mirror_spectrum(sys.spectrum().values, sys.domain)
         rep = sys.real_representation()
@@ -380,7 +384,7 @@ def _bimatrix_are_residual(sys, weights, p):
     return float(num / den)
 
 
-def lqr(sys, weights=None, rng=None, rtol=PBH_RTOL):
+def lqr(sys, weights=None, rtol=PBH_RTOL):
     """Optimal full state feedback for the infinite-horizon quadratic cost.
 
     Solves the Riccati equation of the real representation (the two pictures
@@ -393,9 +397,6 @@ def lqr(sys, weights=None, rng=None, rtol=PBH_RTOL):
     ----------
     weights : WeightPair, optional
         Defaults to identity state and input weights.
-    rng : numpy.random.Generator, optional
-        Unused: the Riccati solve is deterministic.  Kept so callers such as
-        :func:`stabilize` can pass one generator through every design step.
 
     Returns
     -------
@@ -430,6 +431,18 @@ def lqr(sys, weights=None, rng=None, rtol=PBH_RTOL):
     return LqrSolution(p=p, gain=gain, residual=residual, iterations=iters)
 
 
+def _grid_span(horizon, dt):
+    """``horizon / dt`` for a time grid, refused unless it lies in ``[0, MAX_GRID_STEPS]``."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    span = float(horizon) / float(dt)
+    if not 0.0 <= span <= MAX_GRID_STEPS:  # also refuses inf and NaN
+        raise ValueError(
+            f"horizon must be finite, non-negative and span at most {MAX_GRID_STEPS:.0e} steps"
+        )
+    return span
+
+
 def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
     """Accumulated quadratic cost of the closed loop from ``x0``.
 
@@ -437,10 +450,19 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
     the composite trapezoid rule on a fine uniform grid (states advance by
     the exact one-step transition, so only quadrature error remains).  An
     unstable closed loop yields a truncated, diverging partial sum and a
-    ``RuntimeWarning``.
+    ``RuntimeWarning``.  A ``ValueError`` refuses, before any step, a horizon
+    that is negative or not finite, a ``dt`` that is not positive and finite,
+    and a grid of more than ``MAX_GRID_STEPS`` steps.
     """
     cl = closed_loop(sys, gain)
     stable = is_asymptotically_stable(cl)
+    continuous = sys.domain.is_continuous
+    if continuous and dt is None:
+        # resolve both the fastest decay and the fastest oscillation
+        vals = cl.spectrum().values
+        fastest = float(np.max(np.abs(vals))) if stable else 0.0
+        dt = 1.0 / (50.0 * fastest) if fastest > 0 else float(horizon) / 10_000.0
+    steps = math.ceil(_grid_span(horizon, dt if continuous else 1.0))
     if not stable:
         warnings.warn(
             "closed loop is not asymptotically stable; cost is a diverging partial sum",
@@ -450,8 +472,7 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
     q, r = weights.q, weights.r
     x = np.asarray(x0, dtype=complex).reshape(-1)
 
-    if not sys.domain.is_continuous:
-        steps = int(math.ceil(horizon))
+    if not continuous:
         total = 0.0
         for _ in range(steps):
             u = gain.apply(x)
@@ -459,14 +480,7 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
             x = cl.a.apply(x)
         return float(total)
 
-    if dt is None:
-        # resolve both the fastest decay and the fastest oscillation
-        vals = cl.spectrum().values
-        fastest = float(np.max(np.abs(vals))) if stable else 0.0
-        dt = 1.0 / (50.0 * fastest) if fastest > 0 else float(horizon) / 10_000.0
-    steps = max(1, int(math.ceil(float(horizon) / dt)))
-    if steps > MAX_GRID_STEPS:
-        raise ValueError("cost grid would exceed 2e6 steps; pass a coarser dt")
+    steps = max(1, steps)
     step = cl.a.expm(dt)
 
     def stage(xk):
@@ -488,18 +502,6 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
 # ---------------------------------------------------------------------------
 
 
-def _check_pd_matrix(mat, name):
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"{name} must be square")
-    if np.linalg.norm(mat - mat.conj().T) > 1e-10 * max(1.0, np.linalg.norm(mat)):
-        raise ValueError(f"{name} must be Hermitian")
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if w[0] <= 1e-12 * max(1.0, float(w[-1])):
-        raise ValueError(f"{name} must be positive definite")
-    return mat
-
-
 def antilinear_lqr_discrete(a2, b2, q1, r1):
     """Discrete-time regulator for ``x+ = conj(A2) conj(x) + conj(B2) conj(u)``.
 
@@ -518,8 +520,8 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
-    q1 = _check_pd_matrix(q1, "q1")
-    r1 = _check_pd_matrix(r1, "r1")
+    weights = WeightPair(HermiteBimatrix(q1), HermiteBimatrix(r1))
+    q1, r1 = weights.q.first, weights.r.first
     n, m = a2.shape[0], b2.shape[-1]
     if a2.shape != (n, n) or b2.shape != (n, m) or q1.shape != (n, n) or r1.shape != (m, m):
         raise DimensionError("coefficient or weight shapes are inconsistent")
@@ -529,8 +531,8 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
     p_real, k_real, iters = _solve_are_real(
         Bimatrix.antilinear(a2).real_representation(),
         Bimatrix.antilinear(b2).real_representation(),
-        HermiteBimatrix(q1).real_representation(),
-        HermiteBimatrix(r1).real_representation(),
+        weights.q.real_representation(),
+        weights.r.real_representation(),
         continuous=False,
     )
     p_pair = hermite_from_real_representation(p_real)
@@ -561,7 +563,7 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
     )
 
 
-def antilinear_lqr_continuous(a2, b2, q, r1, rng=None):
+def antilinear_lqr_continuous(a2, b2, q, r1):
     """Continuous-time regulator for a purely conjugate-driven system.
 
     Delegates to the general regulator (with ``A1 = B1 = 0`` and ``R2 = 0``),
@@ -575,16 +577,16 @@ def antilinear_lqr_continuous(a2, b2, q, r1, rng=None):
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
-    r1 = _check_pd_matrix(r1, "r1")
     if not isinstance(q, HermiteBimatrix):
         raise TypeError("q must be a HermiteBimatrix weight pair")
+    weights = WeightPair(q, HermiteBimatrix(r1))
+    r1 = weights.r.first
     if not antilinear_controllable(a2, b2):
         raise NotControllableError(
             "continuous antilinear system is not controllable (hence not stabilizable)"
         )
     sys = make_antilinear(a2, b2, domain=TimeDomain.CONTINUOUS)
-    weights = WeightPair(q, HermiteBimatrix(r1))
-    sol = lqr(sys, weights, rng=rng)
+    sol = lqr(sys, weights)
     p1, p2 = sol.p.first, sol.p.second
     q1, q2 = q.first, q.second
 

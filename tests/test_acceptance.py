@@ -212,7 +212,7 @@ def test_criterion_06_cost_identity():
         domain = TimeDomain.CONTINUOUS if checked % 2 == 0 else TimeDomain.DISCRETE
         sysm = _rand_stabilizable(rng, domain)
         weights = WeightPair.identity(sysm.n, sysm.m)
-        sol = lqr(sysm, weights, rng=rng)
+        sol = lqr(sysm, weights)
         vals = closed_loop(sysm, sol.gain).spectrum().values
         if domain.is_continuous:
             decay = np.abs(vals.real)

@@ -577,6 +577,13 @@ class TestLyapunov:
         with pytest.raises(NoUniqueSolutionError):
             solve_lyapunov(sysm, Bimatrix.identity(2))
 
+    def test_singular_discrete_operator_raises(self):
+        # 2 * 0.5 = 1 makes the discrete operator singular
+        sysm = make_normal(np.diag([2.0, 0.5]), np.ones((2, 1)), np.eye(2),
+                           domain="discrete")
+        with pytest.raises(NoUniqueSolutionError, match="eigenvalue pair"):
+            solve_lyapunov(sysm, Bimatrix.identity(2))
+
 
 class TestAntilinearLyapunovReduced:
     def test_scalar_golden(self):
@@ -587,6 +594,11 @@ class TestAntilinearLyapunovReduced:
     def test_unstable_has_no_pd_solution(self):
         with pytest.raises(NoPositiveDefiniteSolutionError):
             antilinear_lyapunov_reduced(np.array([[2.0]]), np.array([[1.0]]))
+
+    def test_unit_mode_has_no_unique_solution(self):
+        # M = conj(A2) A2 = 1, so conj(mu) mu - 1 = 0
+        with pytest.raises(NoUniqueSolutionError, match="eigenvalue pair"):
+            antilinear_lyapunov_reduced(np.array([[1.0]]), np.array([[1.0]]))
 
     def test_agrees_with_pair_solution_via_stacked_weight(self, rng):
         for _ in range(10):

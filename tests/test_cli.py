@@ -231,6 +231,38 @@ class TestSimulateVerb:
         assert report["results"]["final_state_norm"] <= 0.5**20 * 1.001
 
 
+    def _input_run(self, workdir, capsys, rows):
+        # discrete plant with two inputs over a horizon of 3 (4 samples)
+        sysm = make_normal([[0.5]], [[1.0, 2.0]], [[1.0]], domain="discrete")
+        path = _write_json(workdir / "sys.json", system_to_json(sysm))
+        u_path = _write_json(workdir / "u.json", rows)
+        return _run(
+            ["simulate", path, "--x0", "[[1.0, 0.0]]", "--horizon", "3",
+             "--u", u_path, "--trace", str(workdir / "u.csv")],
+            capsys,
+        )
+
+    def test_input_file_drives_the_trace(self, workdir, capsys):
+        rows = [[[k, 0.5], [-1.0, k / 4]] for k in range(4)]
+        code, _, err = self._input_run(workdir, capsys, rows)
+        assert code == 0, err
+        lines = (workdir / "u.csv").read_text().splitlines()
+        assert lines[0].split(",")[3:7] == ["u1_re", "u1_im", "u2_re", "u2_im"]
+        got = [[float(v) for v in line.split(",")[3:7]] for line in lines[1:]]
+        assert got == [[re for pair in row for re in pair] for row in rows]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[[0.0, 0.0], [0.0, 0.0]]] * 3, [[[0.0, 0.0]]] * 4],
+        ids=["row_count", "width"],
+    )
+    def test_misshapen_input_file_is_exit_1(self, workdir, capsys, rows):
+        code, out, err = self._input_run(workdir, capsys, rows)
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "input samples must have shape (4, 2)" in err
+
+
 class TestConvertVerb:
     def test_real_system_is_folded(self, workdir, capsys, rng):
         a = rng.standard_normal((4, 4))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from bimatrix import (
     Bimatrix,
     CxSystem,
     HermiteBimatrix,
+    SpectrumSet,
     TimeDomain,
     WeightPair,
     antilinear_lqr_continuous,
@@ -30,7 +32,7 @@ from bimatrix import (
     state_response,
 )
 import bimatrix.design as design_module
-from bimatrix.design import _place
+from bimatrix.design import _place, _real_spectrum_matrix
 from bimatrix.exceptions import (
     DimensionError,
     NotControllableError,
@@ -46,6 +48,7 @@ from helpers import (
     rand_controllable_system,
     rand_stable_spectrum,
     rand_system,
+    real_spectrum_matrix_loop,
 )
 
 
@@ -99,6 +102,26 @@ class TestAssignEigenvalues:
         sysm = _example_normal_system()
         with pytest.raises(SpectrumError):
             assign_eigenvalues(sysm, [-1.0, -2.0, -3.0, 1j], rng=rng)
+
+    def test_real_target_blocks_match_the_pool_loop(self, rng):
+        # shuffled real values and conjugate pairs, some repeated
+        for _ in range(200):
+            vals = []
+            for _ in range(int(rng.integers(1, 7))):
+                v = complex(rng.normal(), rng.normal() if rng.random() < 0.7 else 0.0)
+                vals += ([v, np.conj(v)] if v.imag else [v]) * int(rng.integers(1, 3))
+            vals = rng.permutation(vals)
+            got = _real_spectrum_matrix(vals)
+            assert got.tobytes() == real_spectrum_matrix_loop(vals).tobytes()
+
+    def test_near_conjugate_pair_refused_like_spectrum_set(self, rng):
+        # 1.3e-8 apart at |v| ~ 0.71, outside CONJ_PAIR_RTOL * max(1, |v|) = 1e-8
+        targets = np.array([0.5 + 0.5j, 0.5 + 1.3e-8 - 0.5j])
+        with pytest.raises(SpectrumError):
+            SpectrumSet(targets)
+        a, b = np.array([[0.0, 1.0], [-2.0, -3.0]]), np.array([[0.0], [1.0]])
+        with pytest.raises(SpectrumError):
+            _place(a, b, targets, rng)
 
     def test_uncontrollable_rejected(self, rng):
         sysm = CxSystem(
@@ -232,7 +255,7 @@ class TestLqr:
             n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
             sysm = rand_controllable_system(rng, n, m, 1, domain)
             weights = _rand_pd_weights(rng, n, m)
-            sol = lqr(sysm, weights, rng=rng)
+            sol = lqr(sysm, weights)
             rep = sysm.real_representation()
             qr_ = weights.q.real_representation()
             rr = weights.r.real_representation()
@@ -247,7 +270,7 @@ class TestLqr:
         for domain in (TimeDomain.CONTINUOUS, TimeDomain.DISCRETE):
             sysm = rand_controllable_system(rng, 2, 1, 1, domain)
             weights = _rand_pd_weights(rng, 2, 1)
-            sol = lqr(sysm, weights, rng=rng)
+            sol = lqr(sysm, weights)
             assert sol.residual <= 1e-8
             # lifted-form residual
             al = sysm.a.complex_lifting()
@@ -277,7 +300,7 @@ class TestLqr:
         weights = WeightPair(
             HermiteBimatrix(_rand_hpd(rng, 3)), HermiteBimatrix(_rand_hpd(rng, 2))
         )
-        sol = lqr(sysm, weights, rng=rng)
+        sol = lqr(sysm, weights)
         assert np.linalg.norm(sol.p.second) <= 1e-8 * np.linalg.norm(sol.p.first)
         assert np.linalg.norm(sol.gain.second) <= 1e-8 * max(
             1.0, np.linalg.norm(sol.gain.first)
@@ -303,7 +326,7 @@ class TestLqr:
     def test_perturbed_gains_cost_more(self, rng):
         sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
         weights = _rand_pd_weights(rng, 2, 1)
-        sol = lqr(sysm, weights, rng=rng)
+        sol = lqr(sysm, weights)
         x0 = rand_cmatrix(rng, 2, 1).ravel()
         base = lqr_cost(sysm, weights, sol.gain, x0, horizon=400)
         for _ in range(10):
@@ -337,6 +360,25 @@ class TestLqrCost:
         weights = WeightPair.identity(1, 1)
         with pytest.warns(RuntimeWarning):
             lqr_cost(sysm, weights, Bimatrix.zeros(1, 1), [1.0], horizon=1.0, dt=0.01)
+
+    @pytest.mark.parametrize(
+        "domain, horizon, dt, message",
+        [("discrete", 3e6, None, "span at most"),
+         ("discrete", math.inf, None, "horizon must be finite"),
+         ("continuous", math.inf, 0.1, "horizon must be finite"),
+         ("discrete", -1.0, None, "non-negative"),
+         ("continuous", 1.0, 0.0, "dt must be finite and positive"),
+         ("continuous", 1.0, -0.1, "dt must be finite and positive")],
+    )
+    def test_bad_grid_refused_before_any_step(self, monkeypatch, domain, horizon, dt, message):
+        def no_stage_cost(*args):
+            raise AssertionError("a stage cost was evaluated")
+
+        monkeypatch.setattr(design_module, "quadratic_form_real", no_stage_cost)
+        sysm = make_normal([[0.5]], [[1.0]], [[1.0]], domain=domain)
+        gain = Bimatrix.normal([[-1.0]])
+        with pytest.raises(ValueError, match=message):
+            lqr_cost(sysm, WeightPair.identity(1, 1), gain, [1.0], horizon, dt)
 
 
 class TestRiccatiSolverPath:
@@ -432,11 +474,7 @@ class TestAntilinearLqrDiscrete:
                 sol = antilinear_lqr_discrete(a2, b2, q1, r1)
             except NotStabilizableError:
                 continue
-            general = lqr(
-                sysm,
-                WeightPair(HermiteBimatrix(q1), HermiteBimatrix(r1)),
-                rng=rng,
-            )
+            general = lqr(sysm, WeightPair(HermiteBimatrix(q1), HermiteBimatrix(r1)))
             scale = max(1.0, np.linalg.norm(general.p.first))
             assert np.linalg.norm(sol.p.first - general.p.first) <= 1e-8 * scale
             assert np.linalg.norm(general.p.second) <= 1e-8 * scale
@@ -449,6 +487,14 @@ class TestAntilinearLqrDiscrete:
             antilinear_lqr_discrete(
                 np.array([[2.0]]), np.zeros((1, 1)), np.eye(1), np.eye(1)
             )
+
+    def test_weight_refused_by_the_weight_pair_rule(self):
+        # eigenvalues {1, 1e-11}: min/max is below PD_EIG_RTOL = 1e-10
+        q1 = np.diag([1.0, 1e-11])
+        with pytest.raises(ValueError, match="not positive definite"):
+            WeightPair(HermiteBimatrix(q1), HermiteBimatrix(np.eye(1)))
+        with pytest.raises(ValueError, match="not positive definite"):
+            antilinear_lqr_discrete(0.5 * np.eye(2), np.ones((2, 1)), q1, np.eye(1))
 
     def test_weight_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -495,8 +541,7 @@ class TestAntilinearLqrDiscrete:
 class TestAntilinearLqrContinuous:
     def test_conjugate_integrator_golden(self, rng):
         sol = antilinear_lqr_continuous(
-            np.zeros((1, 1)), np.ones((1, 1)), HermiteBimatrix(np.eye(1)), np.eye(1),
-            rng=rng,
+            np.zeros((1, 1)), np.ones((1, 1)), HermiteBimatrix(np.eye(1)), np.eye(1)
         )
         assert np.allclose(sol.p.first, [[1.0]], atol=1e-8)
         assert np.allclose(sol.p.second, 0, atol=1e-8)
@@ -512,7 +557,7 @@ class TestAntilinearLqrContinuous:
             if not is_controllable(sysm):
                 continue
             q = hermite_from_real_representation(_rand_spd(rng, 2 * n))
-            sol = antilinear_lqr_continuous(a2, b2, q, _rand_hpd(rng, m), rng=rng)
+            sol = antilinear_lqr_continuous(a2, b2, q, _rand_hpd(rng, m))
             # the solver itself enforces residual <= 1e-8; make it visible here
             assert sol.residual <= 1e-8
             assert is_asymptotically_stable(
@@ -523,7 +568,7 @@ class TestAntilinearLqrContinuous:
         with pytest.raises(NotControllableError):
             antilinear_lqr_continuous(
                 np.array([[1.0]]), np.zeros((1, 1)), HermiteBimatrix(np.eye(1)),
-                np.eye(1), rng=rng,
+                np.eye(1),
             )
 
 
