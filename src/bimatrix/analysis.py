@@ -8,6 +8,7 @@ One kernel decomposes every pencil; its per-point margins are computed once
 per pencil and reused by the bad-region (stabilizable, detectable) tests.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,6 @@ from .core import (
     arrow,
     as_cvector,
     hermite_from_real_representation,
-    unarrow,
 )
 from .exceptions import (
     DimensionError,
@@ -121,19 +121,30 @@ class SimTrace:
         )
 
 
+# Rows formatted per write by the trace CSV writer.
+CSV_BLOCK_ROWS = 1024
+
+
 def _write_trace_csv(f, times, groups):
-    """Write ``t`` and the re/im columns of each ``(prefix, array)`` group, in order."""
+    """Write ``t`` and the re/im columns of each ``(prefix, array)`` group, in order.
+
+    Rows go out in blocks of ``CSV_BLOCK_ROWS``; every value is the ``repr`` of
+    a Python float.
+    """
     cols = ["t"]
     for kind, arr in groups:
         for i in range(arr.shape[1]):
             cols += [f"{kind}{i + 1}_re", f"{kind}{i + 1}_im"]
     f.write(",".join(cols) + "\n")
-    for k, t in enumerate(times):
-        row = [repr(float(t))]
-        for _, arr in groups:
-            for v in arr[k]:
-                row += [repr(float(v.real)), repr(float(v.imag))]
-        f.write(",".join(row) + "\n")
+    times = np.asarray(times, dtype=float)
+    for start in range(0, times.size, CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        # a complex row viewed as floats interleaves re and im
+        block = [times[rows, None]] + [
+            np.ascontiguousarray(arr[rows], dtype=complex).view(float) for _, arr in groups
+        ]
+        lines = [",".join(map(repr, row)) for row in np.hstack(block).tolist()]
+        f.write("\n".join(lines) + "\n")
 
 
 def _input_samples(u, times, m):
@@ -149,16 +160,75 @@ def _input_samples(u, times, m):
         raise DimensionError(
             f"input samples must have shape {(times.size, m)}, got {samples.shape}"
         )
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("input contains non-finite entries")
     return samples
+
+
+def _propagate(xs, ads, ids=None):
+    """The propagation kernel: ``x[k+1] = Ad[k] x[k] + f[k]`` on stacked real states.
+
+    Works in place on the ``(steps + 1, N)`` array ``xs``: on entry ``xs[0]``
+    holds the initial state and ``xs[k + 1]`` the forcing ``f[k]``, on return
+    ``xs[k]`` holds ``x[k]``.  ``Ad[k]`` is ``ads[ids[k]]``, or ``ads[0]`` at
+    every step when ``ids`` is None.  The only per-step work is one real
+    matrix-vector product.  A state that overflows raises ``ValueError``.
+    """
+    rows = list(xs)
+    mats = itertools.repeat(ads[0]) if ids is None else [ads[i] for i in ids.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, row, ad in zip(rows, rows[1:], mats):
+            row += np.dot(ad, prev)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("state trajectory contains non-finite entries")
+
+
+def _zoh_steps(rep, steps):
+    """One-step matrices ``(Ad, Bd)`` of a real continuous system over grid steps.
+
+    Returns the lists of distinct ``Ad`` and ``Bd`` and each step's index into
+    them (None when there is only one), from the augmented exponential with
+    the input held over the step (zero-order hold).  Steps whose ``f"{h:.12e}"`` keys agree
+    share the pair of the first such step on the grid; each distinct step is
+    formatted and exponentiated once.
+    """
+    n2, m2 = rep.b.shape
+    aug = np.zeros((n2 + m2, n2 + m2))
+    aug[:n2, :n2] = rep.a
+    aug[:n2, n2:] = rep.b
+    values, first, inverse = np.unique(steps, return_index=True, return_inverse=True)
+    slots, ads, bds = {}, [], []
+    slot_of = np.empty(values.size, dtype=int)
+    for i in np.argsort(first):
+        key = f"{values[i]:.12e}"
+        if key not in slots:
+            slots[key] = len(ads)
+            ex = scipy.linalg.expm(aug * values[i])
+            ads.append(ex[:n2, :n2])
+            bds.append(ex[:n2, n2:])
+        slot_of[i] = slots[key]
+    return ads, bds, (None if len(ads) == 1 else slot_of[inverse])
+
+
+def _unstack(vs):
+    """Complex rows from stacked real rows ``(Re, Im)``: :func:`unarrow` row by row."""
+    half = vs.shape[1] // 2
+    out = np.empty((vs.shape[0], half), dtype=complex)
+    out.real, out.imag = vs[:, :half], vs[:, half:]
+    return out
 
 
 def state_response(sys, x0, times, u=None):
     """Simulate the system on a time grid starting at zero.
 
-    Discrete systems use the exact recursion.  Continuous systems apply the
-    per-step matrix exponential of the real representation with the input held
-    constant over each interval (exact for piecewise-constant inputs); the
-    forced term comes from the augmented-exponential construction.
+    Both domains run on the real representation through one propagation
+    kernel, ``x[k+1] = Ad[k] x[k] + Bd[k] u[k]`` on stacked real states.
+    Discrete systems use ``(Ad, Bd) = (A_r, B_r)``, the exact recursion.
+    Continuous systems use the matrix exponential of each distinct grid step
+    with the input held constant over the interval (exact for
+    piecewise-constant inputs), from the augmented-exponential construction.
+    The forcing ``Bd u`` and the outputs ``C_r x + D_r u`` are one matrix
+    product each over all samples.
 
     Parameters
     ----------
@@ -170,6 +240,12 @@ def state_response(sys, x0, times, u=None):
     u : None, callable, or array (len(times), m)
         Input samples; ``None`` means zero input, a callable is evaluated at
         each grid point.
+
+    Raises
+    ------
+    ValueError
+        For a bad grid, a non-finite ``x0`` or input sample, and a state that
+        overflows to a non-finite value.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -183,36 +259,23 @@ def state_response(sys, x0, times, u=None):
         raise DimensionError(f"x0 has length {x0.shape[0]}, expected {sys.n}")
 
     usamp = _input_samples(u, times, sys.m)
-    states = np.empty((times.size, sys.n), dtype=complex)
-    states[0] = x0
-
+    rep = sys.real_representation()
     if sys.domain.is_continuous:
-        rep = sys.real_representation()
-        n2, m2 = rep.a.shape[0], rep.b.shape[1]
-        aug = np.zeros((n2 + m2, n2 + m2))
-        aug[:n2, :n2] = rep.a
-        aug[:n2, n2:] = rep.b
-        step_cache = {}
-        xv = arrow(x0)
-        for k in range(times.size - 1):
-            h = float(times[k + 1] - times[k])
-            key = f"{h:.12e}"
-            if key not in step_cache:
-                ex = scipy.linalg.expm(aug * h)
-                step_cache[key] = (ex[:n2, :n2], ex[:n2, n2:])
-            ad, bd = step_cache[key]
-            xv = ad @ xv + bd @ arrow(usamp[k])
-            states[k + 1] = unarrow(xv)
+        ads, bds, ids = _zoh_steps(rep, np.diff(times))
     else:
         if not np.array_equal(times, np.arange(times.size, dtype=float)):
             raise ValueError("discrete-time grid must be the consecutive integers 0..T")
-        for k in range(times.size - 1):
-            states[k + 1] = sys.a.apply(states[k]) + sys.b.apply(usamp[k])
+        ads, bds, ids = [rep.a], [rep.b], None
 
-    outputs = np.empty((times.size, sys.p), dtype=complex)
-    for k in range(times.size):
-        outputs[k] = sys.c.apply(states[k]) + sys.d.apply(usamp[k])
-    return SimTrace(times, states, usamp, outputs)
+    u_r = np.hstack([usamp.real, usamp.imag])
+    xs = np.empty((times.size, 2 * sys.n))
+    xs[0] = arrow(x0)
+    for slot, bd in enumerate(bds):
+        at = slice(None) if ids is None else ids == slot
+        xs[1:][at] = u_r[:-1][at] @ bd.T
+    _propagate(xs, ads, ids)
+    outputs = xs @ rep.c.T + u_r @ rep.d.T
+    return SimTrace(times, _unstack(xs), usamp, _unstack(outputs))
 
 
 # ---------------------------------------------------------------------------

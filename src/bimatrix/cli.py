@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .core import (
     HermiteBimatrix,
+    _apply_rows,
     _spectrum_mismatch,
     bimatrix_from_json,
     bimatrix_to_json,
@@ -292,14 +293,10 @@ def _cmd_simulate(args):
     # matching measured output
     if gain is not None:
         fed_from = observer_states if observer_states is not None else states
-        applied = np.array(
-            [gain.apply(fed_from[k]) + trace.inputs[k] for k in range(len(trace))]
-        )
+        applied = _apply_rows(gain, fed_from) + trace.inputs
     else:
         applied = trace.inputs
-    outputs = np.array(
-        [sysm.c.apply(states[k]) + sysm.d.apply(applied[k]) for k in range(len(trace))]
-    )
+    outputs = _apply_rows(sysm.c, states) + _apply_rows(sysm.d, applied)
 
     groups = [("x", states), ("u", applied), ("y", outputs)]
     if observer_states is not None:

@@ -374,12 +374,9 @@ class HermiteBimatrix(Bimatrix):
         super().__init__(p1, p2)
         if not self.is_square:
             raise DimensionError("Hermite bimatrix must be square")
-        r1 = np.linalg.norm(self.first - self.first.conj().T)
-        r2 = np.linalg.norm(self.second - self.second.T)
-        if r1 > HERMITE_RTOL * max(1.0, np.linalg.norm(self.first)):
-            raise ValueError("first part is not Hermitian within tolerance")
-        if r2 > HERMITE_RTOL * max(1.0, np.linalg.norm(self.second)):
-            raise ValueError("second part is not symmetric within tolerance")
+        fault = _hermite_fault(self)
+        if fault:
+            raise ValueError(f"{fault} within tolerance")
 
     def is_positive_definite(self):
         return is_positive_definite(self)
@@ -397,6 +394,23 @@ def hermite_from_real_representation(mat):
     return HermiteBimatrix(bm.first, bm.second)
 
 
+def _hermite_fault(p):
+    """The symmetry rule: why the square ``p`` is not a Hermite pair, or ``""``.
+
+    ``P1`` must be Hermitian and ``P2`` symmetric, each within
+    ``HERMITE_RTOL * max(1, |part|)`` in the Frobenius norm.
+    """
+    if np.linalg.norm(p.first - p.first.conj().T) > HERMITE_RTOL * max(
+        1.0, np.linalg.norm(p.first)
+    ):
+        return "first part is not Hermitian"
+    if np.linalg.norm(p.second - p.second.T) > HERMITE_RTOL * max(
+        1.0, np.linalg.norm(p.second)
+    ):
+        return "second part is not symmetric"
+    return ""
+
+
 def _is_pd_hermitian(mat):
     """True iff the Hermitian ``mat`` has ``min eig > PD_EIG_RTOL * max |eig|``."""
     w = np.linalg.eigvalsh(mat)
@@ -406,16 +420,21 @@ def _is_pd_hermitian(mat):
 def is_positive_definite(p):
     """True iff the real representation of ``p`` is symmetric positive definite.
 
-    Accepts any square bimatrix; a pair whose representation is not symmetric
-    (i.e. not Hermite) is reported as not positive definite rather than as an
-    error.
+    Accepts any square bimatrix; a pair that fails the symmetry rule of
+    :class:`HermiteBimatrix` is reported as not positive definite rather than
+    as an error.
     """
     if not p.is_square:
         raise DimensionError("definiteness is defined for square bimatrices")
-    rep = p.real_representation()
-    if np.linalg.norm(rep - rep.T) > HERMITE_RTOL * max(1.0, np.linalg.norm(rep)):
+    if _hermite_fault(p):
         return False
+    rep = p.real_representation()
     return _is_pd_hermitian((rep + rep.T) / 2.0)
+
+
+def _apply_rows(bm, xs):
+    """Apply ``bm`` to each row of ``xs``: ``xs A1^T + conj(xs) conj(A2)^T``."""
+    return xs @ bm.first.T + np.conj(xs) @ np.conj(bm.second).T
 
 
 def quadratic_form_real(p, x):

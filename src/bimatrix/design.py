@@ -21,6 +21,8 @@ from .core import (
     SpectrumSet,
     _conjugate_pairing,
     _spectrum_mismatch,
+    arrow,
+    as_cvector,
     block_bimatrix,
     hermite_from_real_representation,
     is_positive_definite,
@@ -40,6 +42,7 @@ from .analysis import (
     PBH_RTOL,
     _bad_region_mask,
     _pbh,
+    _propagate,
     _rank_test,
     antilinear_controllable,
     antilinear_stabilizable_discrete,
@@ -79,6 +82,8 @@ ARE_NEWTON_STEPS = 3
 ARE_POLISH_RTOL = math.sqrt(np.finfo(float).eps)
 # Longest time grid a cost or simulation may allocate.
 MAX_GRID_STEPS = 2_000_000
+# Steps per block of lqr_cost's propagation: memory stays O(block) at any grid.
+COST_BLOCK_STEPS = 4096
 # Random Sylvester parameters drawn per placement before giving up.
 PLACEMENT_DRAWS = 20
 
@@ -293,6 +298,13 @@ class WeightPair:
         return cls(HermiteBimatrix(np.eye(n)), HermiteBimatrix(np.eye(m)))
 
 
+def _check_weight_shapes(sys, weights):
+    if weights.q.shape != (sys.n, sys.n):
+        raise DimensionError(f"state weight must be {(sys.n, sys.n)}")
+    if weights.r.shape != (sys.m, sys.m):
+        raise DimensionError(f"input weight must be {(sys.m, sys.m)}")
+
+
 @dataclass(frozen=True)
 class LqrSolution:
     """Riccati solution pair, optimal gain pair, and solution diagnostics.
@@ -410,10 +422,7 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
         fails the definiteness or stability check.
     """
     weights = WeightPair.identity(sys.n, sys.m) if weights is None else weights
-    if weights.q.shape != (sys.n, sys.n):
-        raise DimensionError(f"state weight must be {(sys.n, sys.n)}")
-    if weights.r.shape != (sys.m, sys.m):
-        raise DimensionError(f"input weight must be {(sys.m, sys.m)}")
+    _check_weight_shapes(sys, weights)
     if not is_stabilizable(sys, rtol):
         raise NotStabilizableError("system is not stabilizable; no regulator exists")
     rep = sys.real_representation()
@@ -432,14 +441,22 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
 
 
 def _grid_span(horizon, dt):
-    """``horizon / dt`` for a time grid, refused unless it lies in ``[0, MAX_GRID_STEPS]``."""
+    """``horizon / dt`` for a time grid, refused unless it lies in ``[0, MAX_GRID_STEPS]``.
+
+    The horizon is checked first, so a bad horizon is named as such whatever
+    ``dt`` is.
+    """
+    horizon = float(horizon)
+    bad_horizon = (
+        f"horizon must be finite, non-negative and span at most {MAX_GRID_STEPS:.0e} steps"
+    )
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(bad_horizon)
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    span = float(horizon) / float(dt)
-    if not 0.0 <= span <= MAX_GRID_STEPS:  # also refuses inf and NaN
-        raise ValueError(
-            f"horizon must be finite, non-negative and span at most {MAX_GRID_STEPS:.0e} steps"
-        )
+    span = horizon / float(dt)
+    if span > MAX_GRID_STEPS:
+        raise ValueError(bad_horizon)
     return span
 
 
@@ -448,20 +465,35 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
 
     Discrete time sums the stage costs; continuous time integrates them with
     the composite trapezoid rule on a fine uniform grid (states advance by
-    the exact one-step transition, so only quadrature error remains).  An
-    unstable closed loop yields a truncated, diverging partial sum and a
-    ``RuntimeWarning``.  A ``ValueError`` refuses, before any step, a horizon
-    that is negative or not finite, a ``dt`` that is not positive and finite,
+    the exact one-step transition, so only quadrature error remains).  The
+    states come from the propagation kernel of :func:`state_response` on the
+    real representation, in blocks of at most ``COST_BLOCK_STEPS`` steps, so
+    memory stays bounded; each block's stage costs
+    ``x_r' Q_r x_r + u_r' R_r u_r`` with ``u_r = K_r x_r`` are one
+    ``einsum``.  The sum never touches a Riccati solution.
+
+    An unstable closed loop yields a truncated, diverging partial sum and a
+    ``RuntimeWarning``; a state that overflows raises ``ValueError``.  A
+    zero horizon costs exactly 0.0.  Without ``dt``, continuous time takes
+    1/50 of the fastest closed-loop time scale, or else 10,000 steps over
+    the horizon.  A ``ValueError`` refuses, before any step, a horizon that
+    is negative or not finite, a ``dt`` that is not positive and finite,
     and a grid of more than ``MAX_GRID_STEPS`` steps.
     """
     cl = closed_loop(sys, gain)
+    _check_weight_shapes(sys, weights)
+    x0 = as_cvector(x0, "x0")
+    if x0.shape[0] != sys.n:
+        raise DimensionError(f"x0 has length {x0.shape[0]}, expected {sys.n}")
     stable = is_asymptotically_stable(cl)
     continuous = sys.domain.is_continuous
     if continuous and dt is None:
         # resolve both the fastest decay and the fastest oscillation
         vals = cl.spectrum().values
         fastest = float(np.max(np.abs(vals))) if stable else 0.0
-        dt = 1.0 / (50.0 * fastest) if fastest > 0 else float(horizon) / 10_000.0
+        # the floor keeps the step positive for a zero or subnormal horizon
+        default = max(float(horizon) / 10_000.0, np.finfo(float).tiny)
+        dt = 1.0 / (50.0 * fastest) if fastest > 0 else default
     steps = math.ceil(_grid_span(horizon, dt if continuous else 1.0))
     if not stable:
         warnings.warn(
@@ -469,31 +501,27 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
             RuntimeWarning,
             stacklevel=2,
         )
-    q, r = weights.q, weights.r
-    x = np.asarray(x0, dtype=complex).reshape(-1)
-
-    if not continuous:
-        total = 0.0
-        for _ in range(steps):
-            u = gain.apply(x)
-            total += quadratic_form_real(q, x) + quadratic_form_real(r, u)
-            x = cl.a.apply(x)
-        return float(total)
-
-    steps = max(1, steps)
-    step = cl.a.expm(dt)
-
-    def stage(xk):
-        uk = gain.apply(xk)
-        return quadratic_form_real(q, xk) + quadratic_form_real(r, uk)
+    x = arrow(x0)
+    a_r = cl.a.real_representation()
+    ad = scipy.linalg.expm(float(dt) * a_r) if continuous else a_r
+    k_r = gain.real_representation()
+    zero = np.zeros((2 * sys.n, 2 * sys.m))
+    # stage cost z' W z of z = (x_r, K_r x_r)
+    w = np.block([[weights.q.real_representation(), zero],
+                  [zero.T, weights.r.real_representation()]])
 
     total = 0.0
-    g_prev = stage(x)
-    for _ in range(steps):
-        x = step.apply(x)
-        g_next = stage(x)
-        total += 0.5 * dt * (g_prev + g_next)
-        g_prev = g_next
+    for done in range(0, steps, COST_BLOCK_STEPS):
+        xs = np.zeros((min(COST_BLOCK_STEPS, steps - done) + 1, x.size))
+        xs[0] = x
+        _propagate(xs, [ad])
+        zs = np.hstack([xs, xs @ k_r.T])
+        g = np.einsum("ij,ij->i", zs @ w, zs)
+        if continuous:
+            total += 0.5 * dt * float(np.sum(g[:-1] + g[1:]))
+        else:
+            total += float(np.sum(g[:-1]))
+        x = xs[-1]
     return float(total)
 
 

@@ -8,7 +8,7 @@ system directly, and spectra come from the lifted matrices.
 import numpy as np
 import scipy.linalg
 
-from bimatrix import Bimatrix, CxSystem, TimeDomain
+from bimatrix import Bimatrix, CxSystem, TimeDomain, arrow, quadratic_form_real, unarrow
 
 
 def rand_cmatrix(rng, rows, cols, scale=1.0):
@@ -175,6 +175,93 @@ def simulate_real_system(ar, br, cr, dr, x0v, times, u_real, continuous):
             states[k + 1] = ar @ states[k] + br @ u_real[k]
     outputs = np.array([cr @ states[k] + dr @ u_real[k] for k in range(len(times))])
     return states, outputs
+
+
+def state_response_loop(sysm, x0, times, u=None):
+    """``(states, outputs)`` stepped one sample at a time through ``Bimatrix.apply``.
+
+    The oracle for ``state_response``: discrete systems recur in pair form;
+    continuous systems cache one augmented exponential per ``f"{h:.12e}"``
+    step key, with the input held over each step.  ``u`` is None, a callable
+    of ``t`` or an array of per-sample inputs.
+    """
+    times = np.asarray(times, dtype=float)
+    if u is None:
+        usamp = np.zeros((times.size, sysm.m), dtype=complex)
+    elif callable(u):
+        usamp = np.array([np.asarray(u(float(t)), dtype=complex).reshape(-1) for t in times])
+    else:
+        usamp = np.asarray(u, dtype=complex).reshape(times.size, sysm.m)
+    states = np.empty((times.size, sysm.n), dtype=complex)
+    states[0] = x0
+    if sysm.domain.is_continuous:
+        rep = sysm.real_representation()
+        n2, m2 = rep.a.shape[0], rep.b.shape[1]
+        aug = np.zeros((n2 + m2, n2 + m2))
+        aug[:n2, :n2] = rep.a
+        aug[:n2, n2:] = rep.b
+        step_cache = {}
+        xv = arrow(x0)
+        for k in range(times.size - 1):
+            h = float(times[k + 1] - times[k])
+            key = f"{h:.12e}"
+            if key not in step_cache:
+                ex = scipy.linalg.expm(aug * h)
+                step_cache[key] = (ex[:n2, :n2], ex[:n2, n2:])
+            ad, bd = step_cache[key]
+            xv = ad @ xv + bd @ arrow(usamp[k])
+            states[k + 1] = unarrow(xv)
+    else:
+        for k in range(times.size - 1):
+            states[k + 1] = sysm.a.apply(states[k]) + sysm.b.apply(usamp[k])
+    outputs = np.empty((times.size, sysm.p), dtype=complex)
+    for k in range(times.size):
+        outputs[k] = sysm.c.apply(states[k]) + sysm.d.apply(usamp[k])
+    return states, outputs
+
+
+def lqr_cost_loop(cl, weights, gain, x0, steps, dt=None):
+    """Quadratic cost of the closed loop ``cl`` over ``steps`` steps, one sample at a time.
+
+    The oracle for ``lqr_cost``: stage costs from ``quadratic_form_real``,
+    summed in discrete time and integrated by the trapezoid rule with step
+    ``dt`` in continuous time, states advanced through ``Bimatrix.apply``.
+    """
+    q, r = weights.q, weights.r
+    x = np.asarray(x0, dtype=complex).reshape(-1)
+
+    def stage(xk):
+        return quadratic_form_real(q, xk) + quadratic_form_real(r, gain.apply(xk))
+
+    total = 0.0
+    if not cl.domain.is_continuous:
+        for _ in range(steps):
+            total += stage(x)
+            x = cl.a.apply(x)
+        return float(total)
+    step = cl.a.expm(dt)
+    g_prev = stage(x)
+    for _ in range(steps):
+        x = step.apply(x)
+        g_next = stage(x)
+        total += 0.5 * dt * (g_prev + g_next)
+        g_prev = g_next
+    return float(total)
+
+
+def trace_csv_loop(f, times, groups):
+    """The trace CSV layout written one value at a time (oracle for the block writer)."""
+    cols = ["t"]
+    for kind, arr in groups:
+        for i in range(arr.shape[1]):
+            cols += [f"{kind}{i + 1}_re", f"{kind}{i + 1}_im"]
+    f.write(",".join(cols) + "\n")
+    for k, t in enumerate(times):
+        row = [repr(float(t))]
+        for _, arr in groups:
+            for v in arr[k]:
+                row += [repr(float(v.real)), repr(float(v.imag))]
+        f.write(",".join(row) + "\n")
 
 
 def rand_stable_spectrum(rng, count, domain):

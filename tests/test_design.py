@@ -371,10 +371,10 @@ class TestLqrCost:
          ("continuous", 1.0, -0.1, "dt must be finite and positive")],
     )
     def test_bad_grid_refused_before_any_step(self, monkeypatch, domain, horizon, dt, message):
-        def no_stage_cost(*args):
-            raise AssertionError("a stage cost was evaluated")
+        def no_propagation(*args):
+            raise AssertionError("the propagation kernel ran")
 
-        monkeypatch.setattr(design_module, "quadratic_form_real", no_stage_cost)
+        monkeypatch.setattr(design_module, "_propagate", no_propagation)
         sysm = make_normal([[0.5]], [[1.0]], [[1.0]], domain=domain)
         gain = Bimatrix.normal([[-1.0]])
         with pytest.raises(ValueError, match=message):
