@@ -22,6 +22,7 @@ from .core import (
     arrow,
     as_cvector,
     hermite_from_real_representation,
+    unarrow,
 )
 from .exceptions import (
     DimensionError,
@@ -210,14 +211,6 @@ def _zoh_steps(rep, steps):
     return ads, bds, (None if len(ads) == 1 else slot_of[inverse])
 
 
-def _unstack(vs):
-    """Complex rows from stacked real rows ``(Re, Im)``: :func:`unarrow` row by row."""
-    half = vs.shape[1] // 2
-    out = np.empty((vs.shape[0], half), dtype=complex)
-    out.real, out.imag = vs[:, :half], vs[:, half:]
-    return out
-
-
 def state_response(sys, x0, times, u=None):
     """Simulate the system on a time grid starting at zero.
 
@@ -228,14 +221,15 @@ def state_response(sys, x0, times, u=None):
     with the input held constant over the interval (exact for
     piecewise-constant inputs), from the augmented-exponential construction.
     The forcing ``Bd u`` and the outputs ``C_r x + D_r u`` are one matrix
-    product each over all samples.
+    product each over all samples, on row stacks from :func:`arrow` and
+    :func:`unarrow`.
 
     Parameters
     ----------
     x0 : array_like
         Initial complex state (length n).
     times : array_like
-        Strictly increasing grid starting at 0.  Discrete systems require
+        Finite, strictly increasing grid starting at 0.  Discrete systems require
         consecutive integers.
     u : None, callable, or array (len(times), m)
         Input samples; ``None`` means zero input, a callable is evaluated at
@@ -250,6 +244,8 @@ def state_response(sys, x0, times, u=None):
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise ValueError("time grid is empty")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time grid must be finite")
     if times[0] != 0.0:
         raise ValueError("time grid must start at 0")
     if times.size > 1 and np.any(np.diff(times) <= 0):
@@ -267,7 +263,7 @@ def state_response(sys, x0, times, u=None):
             raise ValueError("discrete-time grid must be the consecutive integers 0..T")
         ads, bds, ids = [rep.a], [rep.b], None
 
-    u_r = np.hstack([usamp.real, usamp.imag])
+    u_r = arrow(usamp)
     xs = np.empty((times.size, 2 * sys.n))
     xs[0] = arrow(x0)
     for slot, bd in enumerate(bds):
@@ -275,7 +271,7 @@ def state_response(sys, x0, times, u=None):
         xs[1:][at] = u_r[:-1][at] @ bd.T
     _propagate(xs, ads, ids)
     outputs = xs @ rep.c.T + u_r @ rep.d.T
-    return SimTrace(times, _unstack(xs), usamp, _unstack(outputs))
+    return SimTrace(times, unarrow(xs), usamp, unarrow(outputs))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .core import (
     HermiteBimatrix,
-    _apply_rows,
     _spectrum_mismatch,
     bimatrix_from_json,
     bimatrix_to_json,
@@ -293,10 +292,10 @@ def _cmd_simulate(args):
     # matching measured output
     if gain is not None:
         fed_from = observer_states if observer_states is not None else states
-        applied = _apply_rows(gain, fed_from) + trace.inputs
+        applied = gain.apply(fed_from) + trace.inputs
     else:
         applied = trace.inputs
-    outputs = _apply_rows(sysm.c, states) + _apply_rows(sysm.d, applied)
+    outputs = sysm.c.apply(states) + sysm.d.apply(applied)
 
     groups = [("x", states), ("u", applied), ("y", outputs)]
     if observer_states is not None:

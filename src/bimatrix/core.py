@@ -65,6 +65,12 @@ def as_cvector(x, name="vector"):
     return arr
 
 
+def _as_cvectors(x, name="vector"):
+    """A finite 2-D ``x`` as a stack of row vectors; anything else goes to :func:`as_cvector`."""
+    arr = np.asarray(x, dtype=complex)
+    return arr if arr.ndim == 2 and np.all(np.isfinite(arr)) else as_cvector(arr, name)
+
+
 class Bimatrix:
     """Ordered pair ``{A1, A2}`` of equal-shape complex matrices.
 
@@ -167,13 +173,13 @@ class Bimatrix:
     # -- action and arithmetic -----------------------------------------------
 
     def apply(self, x):
-        """Evaluate ``A1 x + conj(A2) conj(x)``."""
-        x = as_cvector(x)
-        if x.shape[0] != self.cols:
+        """Evaluate ``A1 x + conj(A2) conj(x)`` on the last axis: 2-D ``x`` is a stack of rows."""
+        x = _as_cvectors(x)
+        if x.shape[-1] != self.cols:
             raise DimensionError(
-                f"vector of length {x.shape[0]} incompatible with {self.shape} bimatrix"
+                f"vector of length {x.shape[-1]} incompatible with {self.shape} bimatrix"
             )
-        return self.first @ x + np.conj(self.second) @ np.conj(x)
+        return x @ self.first.T + np.conj(x) @ np.conj(self.second).T
 
     def __add__(self, other):
         if not isinstance(other, Bimatrix):
@@ -264,21 +270,14 @@ class Bimatrix:
         return Bimatrix(stack[:n], stack[n:])
 
     def power(self, k):
-        """``k``-fold composition with itself; ``k = 0`` gives the identity."""
+        """``k``-fold composition (identity at ``k = 0``): a power of the real representation."""
         if not self.is_square:
             raise DimensionError("only square bimatrices can be raised to a power")
         k = int(k)
         if k < 0:
             raise ValueError("power expects k >= 0; compose inverse() explicitly")
-        result = Bimatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
+        rep = np.linalg.matrix_power(self.real_representation(), k)
+        return Bimatrix.from_real_representation(rep)
 
     def expm(self, t=1.0):
         """Bimatrix exponential ``exp(t {A1, A2})``.
@@ -329,18 +328,21 @@ def e_matrix(n):
 
 
 def arrow(x):
-    """Stack real and imaginary parts: ``C^m -> R^(2m)``."""
-    x = as_cvector(x)
-    return np.concatenate([x.real, x.imag])
+    """Stack real and imaginary parts: ``C^m -> R^(2m)``, row by row for a 2-D ``x``."""
+    x = _as_cvectors(x)
+    return np.concatenate([x.real, x.imag], axis=-1)
 
 
 def unarrow(v):
-    """Inverse of :func:`arrow`."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] % 2:
+    """Inverse of :func:`arrow`; the parts are assigned, not summed, so signed zeros survive."""
+    v = np.asarray(v, dtype=float)
+    v = v if v.ndim == 2 else v.reshape(-1)
+    if v.shape[-1] % 2:
         raise DimensionError("arrow vector must have even length")
-    m = v.shape[0] // 2
-    return v[:m] + 1j * v[m:]
+    m = v.shape[-1] // 2
+    out = np.empty(v.shape[:-1] + (m,), dtype=complex)
+    out.real, out.imag = v[..., :m], v[..., m:]
+    return out
 
 
 def breve(x):
@@ -430,11 +432,6 @@ def is_positive_definite(p):
         return False
     rep = p.real_representation()
     return _is_pd_hermitian((rep + rep.T) / 2.0)
-
-
-def _apply_rows(bm, xs):
-    """Apply ``bm`` to each row of ``xs``: ``xs A1^T + conj(xs) conj(A2)^T``."""
-    return xs @ bm.first.T + np.conj(xs) @ np.conj(bm.second).T
 
 
 def quadratic_form_real(p, x):
@@ -559,38 +556,29 @@ def cmatrix_to_json(a):
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
-def _complex_entry(pair, name, i):
-    try:
-        return complex(float(pair[0]), float(pair[1]))
-    except TypeError as exc:
-        raise ValueError(f"{name}: entry {i} holds a non-number") from exc
+def _json_count(value, message):
+    """The rule for a dimension read from JSON: a positive integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(message)
+    return int(value)
 
 
 def cmatrix_from_json(obj, name="matrix"):
     if not isinstance(obj, dict):
         raise ValueError(f"{name}: expected an object with rows/cols/data")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise ValueError(f"{name}: missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"{name}: rows and cols must be integers") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{name}: rows and cols must be positive")
+    rule = f"{name}: rows and cols must be integers >= 1"
+    rows, cols = _json_count(rows, rule), _json_count(cols, rule)
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"{name}: data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(
             f"{name}: data holds {len(data)} entries, expected {rows * cols}"
         )
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"{name}: entry {i} is not an [re, im] pair")
-        flat[i] = _complex_entry(pair, name, i)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError(f"{name}: contains non-finite entries")
-    return flat.reshape(rows, cols)
+    return cvector_from_json(data, name).reshape(rows, cols)
 
 
 def cvector_to_json(x):
@@ -605,7 +593,10 @@ def cvector_from_json(obj, name="vector"):
     for i, pair in enumerate(obj):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{name}: entry {i} is not an [re, im] pair")
-        vals[i] = _complex_entry(pair, name, i)
+        try:
+            vals[i] = complex(float(pair[0]), float(pair[1]))
+        except TypeError as exc:
+            raise ValueError(f"{name}: entry {i} holds a non-number") from exc
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name}: contains non-finite entries")
     return vals

@@ -258,18 +258,18 @@ def _mirror_spectrum(values, domain):
 def stabilize(sys, rng=None, rtol=PBH_RTOL):
     """Gain pair whose closed loop is asymptotically stable.
 
-    Uses the quadratic regulator with identity weights; if the Riccati solve
-    fails, falls back to placing the mirrored open-loop spectrum.
+    Returns the gain of the quadratic regulator with identity weights, which
+    :func:`lqr` has already checked for stabilizability (raising
+    :class:`NotStabilizableError`) and for closed-loop stability.  If the
+    Riccati solve fails, falls back to placing the mirrored open-loop
+    spectrum; only that gain is checked here.
     """
-    if not is_stabilizable(sys, rtol):
-        raise NotStabilizableError("system is not stabilizable")
-    rng = _rng(rng)
     try:
-        gain = lqr(sys, rtol=rtol).gain
+        return lqr(sys, rtol=rtol).gain
     except (RiccatiError, PlacementError):
         gamma = _mirror_spectrum(sys.spectrum().values, sys.domain)
         rep = sys.real_representation()
-        gain = Bimatrix.from_real_representation(_place(rep.a, rep.b, gamma, rng))
+        gain = Bimatrix.from_real_representation(_place(rep.a, rep.b, gamma, _rng(rng)))
     if not is_asymptotically_stable(closed_loop(sys, gain)):
         raise PlacementError("stabilization produced an unstable closed loop")
     return gain
@@ -466,9 +466,11 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
     Discrete time sums the stage costs; continuous time integrates them with
     the composite trapezoid rule on a fine uniform grid (states advance by
     the exact one-step transition, so only quadrature error remains).  The
-    states come from the propagation kernel of :func:`state_response` on the
-    real representation, in blocks of at most ``COST_BLOCK_STEPS`` steps, so
-    memory stays bounded; each block's stage costs
+    continuous grid takes ``ceil(horizon / dt)`` equal steps, so it ends at
+    the horizon and no step is longer than ``dt``.  The states come from the
+    propagation kernel of :func:`state_response` on the real representation,
+    in blocks of at most ``COST_BLOCK_STEPS`` steps, so memory stays
+    bounded; each block's stage costs
     ``x_r' Q_r x_r + u_r' R_r u_r`` with ``u_r = K_r x_r`` are one
     ``einsum``.  The sum never touches a Riccati solution.
 
@@ -495,6 +497,8 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
         default = max(float(horizon) / 10_000.0, np.finfo(float).tiny)
         dt = 1.0 / (50.0 * fastest) if fastest > 0 else default
     steps = math.ceil(_grid_span(horizon, dt if continuous else 1.0))
+    if continuous and steps:
+        dt = float(horizon) / steps  # the grid ends at the horizon
     if not stable:
         warnings.warn(
             "closed loop is not asymptotically stable; cost is a diverging partial sum",

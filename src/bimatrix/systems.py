@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bimatrix, as_cmatrix, cmatrix_from_json, cmatrix_to_json
+from .core import Bimatrix, _json_count, as_cmatrix, cmatrix_from_json, cmatrix_to_json
 from .exceptions import DimensionError, SingularBimatrixError
 
 __all__ = [
@@ -317,10 +317,7 @@ def system_from_json(obj):
 
     def dim(key, fallback):
         if key in obj:
-            value = int(obj[key])
-            if value < 1:
-                raise ValueError(f'"{key}" must be a positive integer')
-            return value
+            return _json_count(obj[key], f'"{key}" must be a positive integer')
         if fallback is None:
             raise ValueError(
                 f'cannot infer dimension "{key}"; give it explicitly or supply more blocks'

@@ -74,6 +74,18 @@ def lift(bm):
     return np.vstack([top, bot])
 
 
+def power_by_squaring(bm, k):
+    """``k``-fold composition by square-and-multiply in pair arithmetic (oracle for ``power``)."""
+    result, base = Bimatrix.identity(bm.rows), bm
+    while k:
+        if k & 1:
+            result = result @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return result
+
+
 def inverse_first_schur(bm):
     """Paper's closed-form inverse, assuming the first part is nonsingular."""
     a1, a2 = bm.first, bm.second

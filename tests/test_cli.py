@@ -310,7 +310,11 @@ class TestErrorPaths:
         "field, value, message",
         [("data", 5, "data must be a list"),
          ("data", [[None, 0.0]], "entry 0 holds a non-number"),
-         ("rows", None, "rows and cols must be integers")],
+         ("rows", None, "rows and cols must be integers"),
+         ("rows", [1], "rows and cols must be integers"),
+         ("rows", 1.9, "rows and cols must be integers"),
+         ("cols", True, "rows and cols must be integers"),
+         ("cols", 0, "rows and cols must be integers")],
     )
     def test_malformed_matrix_block_is_exit_1(self, workdir, capsys, field, value, message):
         obj = system_to_json(make_normal([[0.5]], [[1.0]], [[1.0]], domain="discrete"))
@@ -320,6 +324,19 @@ class TestErrorPaths:
         assert code == 1
         assert "Traceback" not in err
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", None), ("n", [1]), ("n", 1.7), ("m", True), ("p", 0)],
+    )
+    def test_malformed_dimension_field_is_exit_1(self, workdir, capsys, field, value):
+        obj = system_to_json(make_normal([[0.5]], [[1.0]], [[1.0]], domain="discrete"))
+        obj[field] = value
+        path = _write_json(workdir / "sys.json", obj)
+        code, _, err = _run(["analyze", path], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and f'"{field}" must be a positive integer' in err
 
     @pytest.mark.parametrize(
         "domain, grid",

@@ -29,6 +29,7 @@ from helpers import (
     inverse_first_schur,
     inverse_second_schur,
     lift,
+    power_by_squaring,
     rand_bimatrix,
     rand_cmatrix,
 )
@@ -43,6 +44,13 @@ class TestApply:
     def test_pure_conjugate_action(self):
         bm = Bimatrix.antilinear([[1.0]])
         assert np.allclose(bm.apply([1j]), [-1j])
+
+    def test_row_stack_is_checked_like_a_vector(self):
+        bm = Bimatrix.identity(2)
+        with pytest.raises(DimensionError, match="length 3"):
+            bm.apply(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            bm.apply([[1.0, np.inf]])
 
     def test_mixed_action_matches_definition_and_arrow_route(self):
         bm = Bimatrix([[1.0]], [[1j]])
@@ -292,6 +300,16 @@ class TestPower:
         with pytest.raises(ValueError):
             rand_bimatrix(rng, 2, 2).power(-1)
 
+    def test_matches_square_and_multiply_in_pair_arithmetic(self, rng):
+        for _ in range(100):
+            n, k = int(rng.integers(1, 25)), int(rng.integers(0, 40))
+            a = rand_bimatrix(rng, n, n, scale=1.0 / np.sqrt(n))
+            got, want = a.power(k), power_by_squaring(a, k)
+            err = np.hypot(np.linalg.norm(got.first - want.first),
+                           np.linalg.norm(got.second - want.second))
+            assert err <= 1e-13 * np.hypot(np.linalg.norm(want.first),
+                                           np.linalg.norm(want.second))
+
 
 class TestExponent:
     def test_time_zero(self, rng):
@@ -389,6 +407,24 @@ class TestVectorMaps:
     def test_arrow_round_trip(self, rng):
         x = rand_cmatrix(rng, 4, 1).ravel()
         assert np.allclose(unarrow(arrow(x)), x)
+
+    def test_row_stack_round_trip_keeps_signed_zeros(self, rng):
+        xs = rand_cmatrix(rng, 5, 3)
+        xs[0] = [complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0)]
+        stacked = arrow(xs)
+        assert np.array_equal(stacked, np.hstack([xs.real, xs.imag]))
+        assert np.array_equal(stacked[1], arrow(xs[1]))
+        back = unarrow(stacked)
+        assert back.shape == xs.shape and np.array_equal(back, xs)
+        assert np.array_equal(np.signbit(back.real), np.signbit(xs.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(xs.imag))
+        assert np.signbit(unarrow([-0.0, 1.0])[0].real)
+
+    def test_row_stack_checks_of_arrow_and_unarrow(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            arrow([[1.0, np.nan]])
+        with pytest.raises(DimensionError):
+            unarrow(np.zeros((2, 3)))
 
     def test_breve_is_h_times_arrow(self, rng):
         x = rand_cmatrix(rng, 3, 1).ravel()

@@ -221,6 +221,22 @@ class TestStabilize:
             stabilize(sysm)
 
     @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_lqr_path_runs_each_check_once(self, monkeypatch, domain):
+        counts = {"is_stabilizable": 0, "is_asymptotically_stable": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(design_module, name)):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(design_module, name, counted)
+        sysm = rand_controllable_system(np.random.default_rng(17), 3, 2, 1, domain)
+        gain = stabilize(sysm)
+        assert counts == {"is_stabilizable": 1, "is_asymptotically_stable": 1}
+        want = lqr(sysm).gain
+        assert np.array_equal(gain.first, want.first)
+        assert np.array_equal(gain.second, want.second)
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
     def test_random_controllable_plants(self, rng, domain):
         for _ in range(5):
             sysm = rand_controllable_system(rng, 3, 2, 1, domain)

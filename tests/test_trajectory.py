@@ -6,6 +6,7 @@ Each array-at-a-time path is checked against the per-sample loop it replaces
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from bimatrix import (
     make_normal,
     state_response,
 )
+import bimatrix.analysis as analysis_module
 import bimatrix.design as design_module
 from bimatrix.analysis import CSV_BLOCK_ROWS, _write_trace_csv
-from bimatrix.core import _apply_rows
 
 from helpers import (
     lqr_cost_loop,
@@ -116,6 +117,20 @@ class TestNonFiniteRefused:
         with pytest.raises(ValueError, match="non-finite"):
             state_response(sysm, [np.nan], times)
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, np.inf], [0.0, np.nan]])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_non_finite_time_grid_refused_before_any_step(self, monkeypatch, domain, times):
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(analysis_module, "_zoh_steps", no_step)
+        monkeypatch.setattr(analysis_module, "_propagate", no_step)
+        sysm = make_normal([[-0.5]], [[1.0]], [[1.0]], domain=domain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time grid must be finite"):
+                state_response(sysm, [1.0], times)
+
     @pytest.mark.parametrize(
         "domain, a, times",
         [(TimeDomain.DISCRETE, 1e200, np.arange(4.0)),
@@ -178,6 +193,18 @@ class TestLqrCostAgainstLoop:
             lqr_cost(sysm, WeightPair.identity(1, 1), Bimatrix.zeros(1, 1), [1.0], 1.0, 0.5)
 
 
+class TestLqrCostGrid:
+    def test_continuous_grid_ends_at_the_horizon(self):
+        # xdot = -x without feedback: stage cost exp(-2t); ceil(1.0 / 0.3) = 4
+        # steps of 0.25, so the grid is the one dt = 0.25 gives
+        sysm = make_normal([[-1.0]], [[1.0]], [[1.0]], domain="continuous")
+        weights, gain = WeightPair.identity(1, 1), Bimatrix.zeros(1, 1)
+        got = lqr_cost(sysm, weights, gain, [1.0], horizon=1.0, dt=0.3)
+        g = np.exp(-2.0 * np.linspace(0.0, 1.0, 5))
+        assert got == pytest.approx(0.25 * (np.sum(g) - 0.5 * (g[0] + g[-1])), rel=1e-13)
+        assert got == lqr_cost(sysm, weights, gain, [1.0], horizon=1.0, dt=0.25)
+
+
 class TestLqrCostZeroHorizon:
     def test_continuous_zero_horizon_costs_nothing(self):
         sysm = make_normal([[-1.0]], [[1.0]], [[1.0]], domain="continuous")
@@ -230,7 +257,7 @@ def test_apply_rows_matches_apply_per_row():
         bm = Bimatrix(rand_cmatrix(rng, rows, cols), rand_cmatrix(rng, rows, cols))
         xs = rand_cmatrix(rng, 50, cols)
         want = np.array([bm.apply(x) for x in xs])
-        assert _rel_err(_apply_rows(bm, xs), want) <= 1e-14
+        assert _rel_err(bm.apply(xs), want) <= 1e-14
 
 
 def test_one_symmetry_rule_for_hermite_pairs_and_definiteness():
