@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Bimatrix,
@@ -193,6 +192,8 @@ def _zoh_steps(rep, steps):
     share the pair of the first such step on the grid; each distinct step is
     formatted and exponentiated once.
     """
+    import scipy.linalg
+
     n2, m2 = rep.b.shape
     aug = np.zeros((n2 + m2, n2 + m2))
     aug[:n2, :n2] = rep.a
@@ -459,6 +460,8 @@ def _solve_lyapunov_refined(a, w, continuous):
         raise NoUniqueSolutionError(
             "an eigenvalue pair makes the Lyapunov operator singular; no unique solution"
         )
+    import scipy.linalg
+
     # SciPy solves ``m X + X m^H = q`` and ``m X m^H - X = -q``; with
     # ``m = a^H`` each ``solve(rhs)`` below returns the X with ``op(X) = rhs``
     ah = a.conj().T

@@ -11,7 +11,6 @@ through these representations.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, SingularBimatrixError, SpectrumError
 
@@ -287,6 +286,8 @@ class Bimatrix:
         """
         if not self.is_square:
             raise DimensionError("only square bimatrices have an exponential")
+        import scipy.linalg
+
         rep = scipy.linalg.expm(float(t) * self.real_representation())
         return Bimatrix.from_real_representation(rep)
 
@@ -593,10 +594,16 @@ def cvector_from_json(obj, name="vector"):
     for i, pair in enumerate(obj):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{name}: entry {i} is not an [re, im] pair")
+        re, im = pair
+        # a JSON number: int or float, not bool
+        if isinstance(re, bool) or isinstance(im, bool) or not (
+            isinstance(re, (int, float)) and isinstance(im, (int, float))
+        ):
+            raise ValueError(f"{name}: entry {i} holds a non-number")
         try:
-            vals[i] = complex(float(pair[0]), float(pair[1]))
-        except TypeError as exc:
-            raise ValueError(f"{name}: entry {i} holds a non-number") from exc
+            vals[i] = complex(re, im)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{name}: contains non-finite entries") from None
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name}: contains non-finite entries")
     return vals

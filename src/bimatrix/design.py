@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Bimatrix,
@@ -120,17 +119,63 @@ def _real_spectrum_matrix(values):
     return out
 
 
+def _block_sylvester(a, lam_mat):
+    """Solver ``c -> X`` of ``a X - X lam_mat = c``, one diagonal block of ``lam_mat`` at a time.
+
+    ``lam_mat`` is diagonal (complex data) or comes from
+    :func:`_real_spectrum_matrix`.  A 1x1 block ``lam`` at column ``j`` solves
+    ``(a - lam I) x_j = c_j``.  A 2x2 block ``[[r, w], [-w, r]]`` at columns
+    ``j, j+1`` solves ``(a - (r + iw) I) z = c_j + i c_{j+1}`` and gives
+    ``x_j = Re z``, ``x_{j+1} = Im z``.  The shifted matrices are built once;
+    each ``c`` is one batched ``np.linalg.solve`` over all blocks, which
+    raises ``LinAlgError`` for an exactly singular shift.
+    """
+    n = a.shape[0]
+    sup = np.append(np.diag(lam_mat, 1), 0.0)
+    pair = sup != 0  # column j opens a 2x2 block
+    starts = np.flatnonzero(np.append(True, ~pair[:-1]))
+    opens = pair[starts]
+    seconds = starts[opens] + 1
+    shifted = np.empty((starts.size, n, n), dtype=complex)
+    shifted[:] = a
+    diag = np.arange(n)
+    shifted[:, diag, diag] -= (np.diag(lam_mat)[starts] + 1j * sup[starts])[:, None]
+    complex_data = np.iscomplexobj(lam_mat)
+
+    def solve(c):
+        rhs = c[:, starts].astype(complex)
+        rhs[:, opens] += 1j * c[:, seconds]
+        z = np.linalg.solve(shifted, rhs.T[:, :, None])[:, :, 0].T
+        if complex_data:
+            return z
+        x = np.empty((n, n))
+        x[:, starts] = z.real
+        x[:, seconds] = z[:, opens].imag
+        return x
+
+    return solve
+
+
 def _place_once(a, b, lam_mat, targets, rng):
+    """Gain ``K = G X^{-1}`` for one spectrum matrix ``lam_mat``, over random ``G``.
+
+    Each draw of ``G`` solves ``a X - X lam_mat = -b G`` column block by column
+    block (:func:`_block_sylvester`, the parametric method of Kautsky, Nichols
+    and Van Dooren).  A draw is skipped when a shift is exactly singular,
+    ``X`` is numerically singular, or ``a + b K`` misses ``targets``; after
+    ``PLACEMENT_DRAWS`` draws :class:`PlacementError` is raised.
+    """
     n = a.shape[0]
     m = b.shape[1]
     complex_data = np.iscomplexobj(a) or np.iscomplexobj(b)
+    sylvester = _block_sylvester(a, lam_mat)
     for _ in range(PLACEMENT_DRAWS):
         g = rng.standard_normal((m, n))
         if complex_data:
             g = g + 1j * rng.standard_normal((m, n))
         try:
-            x = scipy.linalg.solve_sylvester(a, -lam_mat, -b @ g)
-        except (np.linalg.LinAlgError, ValueError):
+            x = sylvester(-b @ g)
+        except np.linalg.LinAlgError:
             continue
         sv = np.linalg.svd(x, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
@@ -145,7 +190,12 @@ def _place_once(a, b, lam_mat, targets, rng):
 
 def _place(a, b, targets, rng, _depth=0):
     """Gain K with ``spectrum(a + b K) = targets`` via a random-parameter
-    Sylvester solve ``a X - X L = -b G``, ``K = G X^{-1}``.
+    Sylvester equation ``a X - X L = -b G``, ``K = G X^{-1}``.
+
+    ``L`` is ``diag(targets)`` for complex data and the real block-diagonal
+    :func:`_real_spectrum_matrix` for real data.  ``X`` comes one column block
+    of ``L`` at a time from ``(a - lam I) x = -b g`` (see
+    :func:`_place_once`).
 
     Target values overlapping the open-loop spectrum make the Sylvester
     operator singular; those are routed through an intermediate disjoint
@@ -338,6 +388,8 @@ def _solve_are_real(a, b, q, r, continuous):
     agree.  ``K`` is the optimal gain for ``P``, and ``iterations`` is 1 plus
     the number of Newton steps taken.
     """
+    import scipy.linalg
+
     solver = scipy.linalg.solve_continuous_are if continuous else scipy.linalg.solve_discrete_are
     try:
         p0 = solver(a, b, q, r)
@@ -482,6 +534,8 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
     is negative or not finite, a ``dt`` that is not positive and finite,
     and a grid of more than ``MAX_GRID_STEPS`` steps.
     """
+    import scipy.linalg
+
     cl = closed_loop(sys, gain)
     _check_weight_shapes(sys, weights)
     x0 = as_cvector(x0, "x0")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +389,82 @@ class TestErrorPaths:
         code, out, err = _run(["analyze", path], capsys)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("value", ["1.5", True, "nan"])
+    @pytest.mark.parametrize("where", ["matrix", "spectrum", "x0"])
+    def test_non_number_entry_is_exit_1(self, workdir, capsys, where, value):
+        sysm = make_normal([[0.5]], [[1.0]], [[1.0]], domain="discrete")
+        obj = system_to_json(sysm)
+        entries = [[-0.5, 0.0], [-0.25, value]]
+        if where == "matrix":
+            obj["A1"]["data"] = [[0.5, value]]
+            argv = ["analyze"]
+        elif where == "spectrum":
+            argv = ["place", "--spectrum", _write_json(workdir / "gamma.json", entries)]
+        else:
+            argv = ["simulate", "--horizon", "5",
+                    "--x0", _write_json(workdir / "x0.json", entries[1:])]
+        path = _write_json(workdir / "sys.json", obj)
+        code, out, err = _run([argv[0], path, *argv[1:]], capsys)
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "holds a non-number" in err
+
+
+_SCIPY_PROBE = """
+import sys
+from bimatrix.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+class TestScipyLoadedOnlyWhereCalled:
+    """Each case runs in a fresh interpreter: this one already has SciPy loaded."""
+
+    @staticmethod
+    def _scipy_modules(workdir, argv):
+        """SciPy modules loaded after ``main(argv)``, or after the import alone."""
+        import bimatrix
+
+        src = os.path.dirname(os.path.dirname(bimatrix.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=workdir,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        code, loaded = proc.stderr.strip().splitlines()[-1].split(" ", 1)
+        assert proc.returncode == 0 and code == "0", proc.stderr
+        return loaded
+
+    def test_import_leaves_scipy_unloaded(self, workdir):
+        assert self._scipy_modules(workdir, []) == "[]"
+
+    @pytest.mark.parametrize("verb", ["analyze", "convert", "place", "observer", "simulate"])
+    def test_verb_leaves_scipy_unloaded(self, workdir, rng, verb):
+        if verb == "convert":
+            real = {"A": rng.standard_normal((4, 4)), "B": rng.standard_normal((4, 2)),
+                    "C": rng.standard_normal((2, 4)), "D": np.zeros((2, 2))}
+            obj = {"domain": "discrete", **{k: cmatrix_to_json(v) for k, v in real.items()}}
+            path = _write_json(workdir / "real.json", obj)
+        else:
+            domain = "discrete" if verb == "simulate" else "continuous"
+            sysm = make_normal([[0.0, 1.0], [-5.0, -4.0]], [[0.0], [1.0]], np.eye(2),
+                               domain=domain)
+            path = _write_json(workdir / "sys.json", system_to_json(sysm))
+        extra = {
+            "place": ["--spectrum", "[[-1.0, 1.0], [-2.0, 0.5]]"],
+            "observer": ["--spectrum", "[[-2.0, 0.0], [-3.0, 0.0], [-4.0, 0.0], [-5.0, 0.0]]"],
+            "simulate": ["--x0", "[[1.0, 0.5], [0.0, 0.0]]", "--horizon", "20"],
+        }.get(verb, [])
+        argv = [verb, path, *extra, "--out", "report.json"]
+        assert self._scipy_modules(workdir, argv) == "[]"
+
+    def test_lqr_loads_scipy(self, workdir):
+        # the probe's positive control: lqr calls SciPy's Riccati solvers
+        path = _example_system_file(workdir / "sys.json")
+        argv = ["lqr", path, "--out", "report.json"]
+        assert "scipy.linalg" in self._scipy_modules(workdir, argv)
 
 
 class TestSeedHandling:

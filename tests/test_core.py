@@ -531,6 +531,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="pair"):
             cmatrix_from_json({"rows": 1, "cols": 1, "data": [[1.0]]})
 
+    @pytest.mark.parametrize("part", ["1.5", True, "nan", None, [1.0]])
+    def test_entry_part_must_be_a_json_number(self, part):
+        for pair in ([part, 0.0], [0.0, part]):
+            with pytest.raises(ValueError, match="entry 1 holds a non-number"):
+                cvector_from_json([[1.0, 0.0], pair])
+
+    def test_integer_parts_accepted(self):
+        assert cvector_from_json([[1, -2], [0, 3.5]]).tolist() == [1 - 2j, 3.5j]
+
+    def test_integer_beyond_float_range_is_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            cvector_from_json([[10**400, 0]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Bimatrix([[np.inf]], [[0.0]])

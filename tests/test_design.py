@@ -38,6 +38,7 @@ from bimatrix.exceptions import (
     NotControllableError,
     NotObservableError,
     NotStabilizableError,
+    PlacementError,
     RiccatiError,
     SpectrumError,
 )
@@ -167,6 +168,52 @@ class TestAssignNormal:
         sysm = make_antilinear([[0.5]], [[1.0]], domain="continuous")
         with pytest.raises(ValueError):
             assign_eigenvalues_normal(sysm, [-1.0], rng=rng)
+
+
+class TestPlacementSylvesterSolve:
+    """``_block_sylvester`` against Bartels-Stewart on well-separated spectra."""
+
+    @staticmethod
+    def _real_problem(rng, n, pairs):
+        # the spectrum of a lies near the disc |s - 3| <= 1, the targets in -3 <= Re s <= -1
+        a = rng.standard_normal((n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+        vals = [complex(-1.0 - 2.0 * rng.random(), 0.5 + rng.random()) for _ in range(pairs)]
+        vals = [v for z in vals for v in (z, z.conjugate())]
+        vals += [complex(-1.0 - 2.0 * rng.random()) for _ in range(n - 2 * pairs)]
+        return a, _real_spectrum_matrix(rng.permutation(vals))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
+    def test_real_blocks_match_solve_sylvester(self, rng, n):
+        for pairs in sorted({0, n // 4, n // 2}):
+            a, lam = self._real_problem(rng, n, pairs)
+            assert np.count_nonzero(np.diag(lam, 1)) == pairs
+            c = rng.standard_normal((n, n))
+            x = design_module._block_sylvester(a, lam)(c)
+            want = scipy.linalg.solve_sylvester(a, -lam, c)
+            assert x.dtype == float
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
+    def test_complex_diagonal_matches_solve_sylvester(self, rng, n):
+        a = rand_cmatrix(rng, n, n, 1.0 / np.sqrt(n)) + 3.0 * np.eye(n)
+        lam = np.diag(-1.0 - 2.0 * rng.random(n) + 1j * rng.standard_normal(n))
+        c = rand_cmatrix(rng, n, n)
+        x = design_module._block_sylvester(a, lam)(c)
+        want = scipy.linalg.solve_sylvester(a, -lam, c)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "a, lam",
+        [(np.diag([1.0, 2.0]), np.diag([1.0, -3.0])),
+         (np.array([[1.0, 2.0], [-2.0, 1.0]]), np.array([[1.0, 2.0], [-2.0, 1.0]])),
+         (np.diag([1.0 + 1.0j, 2.0]), np.diag([-1.0, 1.0 + 1.0j]))],
+    )
+    def test_exactly_singular_shift_skips_every_draw(self, rng, a, lam):
+        with pytest.raises(np.linalg.LinAlgError):
+            design_module._block_sylvester(a, lam)(np.ones((2, 2)))
+        targets = np.linalg.eigvals(lam)
+        with pytest.raises(PlacementError, match="20 parameter draws"):
+            design_module._place_once(a, np.ones((2, 1)), lam, targets, rng)
 
 
 class TestClosedLoop:
@@ -412,6 +459,26 @@ class TestRiccatiSolverPath:
         monkeypatch.setattr(scipy.linalg, "solve_discrete_are", perturbed)
         with pytest.raises(RiccatiError, match="disagree"):
             lqr(sysm)
+
+    @pytest.mark.parametrize(
+        "domain, solver",
+        [(TimeDomain.DISCRETE, "solve_discrete_are"),
+         (TimeDomain.CONTINUOUS, "solve_continuous_are")],
+    )
+    def test_riccati_solve_looked_up_on_scipy_at_call_time(
+        self, rng, monkeypatch, domain, solver
+    ):
+        # SciPy is imported inside the solver, so a patched module attribute
+        # is what runs
+        exact, calls = getattr(scipy.linalg, solver), []
+
+        def recorded(*args):
+            calls.append(None)
+            return exact(*args)
+
+        monkeypatch.setattr(scipy.linalg, solver, recorded)
+        lqr(rand_controllable_system(rng, 2, 1, 1, domain))
+        assert len(calls) == 1
 
     @staticmethod
     def _scipy_dare(sysm):
