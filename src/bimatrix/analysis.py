@@ -384,7 +384,7 @@ def structure_report(sys, rtol=PBH_RTOL):
     The lifting, the spectrum and the per-point margins of each pencil are
     computed once; the bad-region tests take the subset of those margins.
     """
-    al, bl, cl, _ = sys.complex_lifting()
+    al, bl, cl = (bm.complex_lifting() for bm in (sys.a, sys.b, sys.c))
     spectrum = sys.spectrum()
     bad = _bad_region_mask(spectrum.values, sys.domain)
     ctrb, c_scale = _pbh(al, bl, spectrum.values)

@@ -64,6 +64,20 @@ def as_cvector(x, name="vector"):
     return arr
 
 
+def _pair(first, second):
+    """A :class:`Bimatrix` over complex 2-D arrays the library has just made: no copy.
+
+    The arrays become read-only parts; a non-finite entry (an overflow)
+    raises the public constructor's ``ValueError``.
+    """
+    for name, part in (("first part", first), ("second part", second)):
+        if not np.isfinite(part).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    bm = object.__new__(Bimatrix)
+    bm._adopt(first, second)
+    return bm
+
+
 def _as_cvectors(x, name="vector"):
     """A finite 2-D ``x`` as a stack of row vectors; anything else goes to :func:`as_cvector`."""
     arr = np.asarray(x, dtype=complex)
@@ -74,8 +88,12 @@ class Bimatrix:
     """Ordered pair ``{A1, A2}`` of equal-shape complex matrices.
 
     The pair acts on a complex vector ``x`` as ``A1 x + conj(A2) conj(x)``.
-    Instances are immutable values: the stored arrays are private copies and
-    are marked read-only, so a bimatrix can be shared freely across threads.
+    Instances are immutable values: the stored arrays belong to the instance
+    and are marked read-only, so a bimatrix can be shared freely across threads.
+    The real representation, the complex lifting and the eigenvalues are
+    computed on first use and kept on the instance; the two representations
+    are read-only arrays.  Two threads may both fill the same cache, which is
+    harmless, because both compute the same value.
 
     Parameters
     ----------
@@ -86,22 +104,27 @@ class Bimatrix:
         ``first``.
     """
 
-    __slots__ = ("first", "second")
+    __slots__ = ("first", "second", "_real", "_lift", "_spectrum")
 
     def __init__(self, first, second):
-        first = as_cmatrix(first, "first part")
-        second = as_cmatrix(second, "second part")
+        self._adopt(as_cmatrix(first, "first part"), as_cmatrix(second, "second part"))
+
+    def _adopt(self, first, second):
+        """Store two complex 2-D arrays as the parts, without copying them."""
         if first.shape != second.shape:
             raise DimensionError(
                 f"bimatrix parts must share a shape, got {first.shape} and {second.shape}"
             )
         first.setflags(write=False)
         second.setflags(write=False)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        for name, value in zip(Bimatrix.__slots__, (first, second, None, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bimatrix is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.first, self.second)
 
     # -- shape -------------------------------------------------------------
 
@@ -167,7 +190,7 @@ class Bimatrix:
         m21, m22 = mat[n:, :m], mat[n:, m:]
         first = 0.5 * (m11 + m22) + 0.5j * (m21 - m12)
         second = 0.5 * (m11 - m22) - 0.5j * (m21 + m12)
-        return cls(first, second)
+        return _pair(first, second) if cls is Bimatrix else cls(first, second)
 
     # -- action and arithmetic -----------------------------------------------
 
@@ -185,17 +208,17 @@ class Bimatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"cannot add shapes {self.shape} and {other.shape}")
-        return Bimatrix(self.first + other.first, self.second + other.second)
+        return _pair(self.first + other.first, self.second + other.second)
 
     def __sub__(self, other):
         if not isinstance(other, Bimatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"cannot subtract shapes {self.shape} and {other.shape}")
-        return Bimatrix(self.first - other.first, self.second - other.second)
+        return _pair(self.first - other.first, self.second - other.second)
 
     def __neg__(self):
-        return Bimatrix(-self.first, -self.second)
+        return _pair(-self.first, -self.second)
 
     def __mul__(self, scalar):
         # Only real scalars commute with the action; complex ones do not scale
@@ -203,7 +226,7 @@ class Bimatrix:
         if not np.isrealobj(np.asarray(scalar)) or np.ndim(scalar) != 0:
             return NotImplemented
         s = float(scalar)
-        return Bimatrix(s * self.first, s * self.second)
+        return _pair(s * self.first, s * self.second)
 
     __rmul__ = __mul__
 
@@ -216,11 +239,11 @@ class Bimatrix:
             )
         a1, a2 = self.first, self.second
         b1, b2 = other.first, other.second
-        return Bimatrix(a1 @ b1 + np.conj(a2) @ b2, np.conj(a1) @ b2 + a2 @ b1)
+        return _pair(a1 @ b1 + np.conj(a2) @ b2, np.conj(a1) @ b2 + a2 @ b1)
 
     def conj_transpose(self):
         """Adjoint pair ``{A1^H, A2^T}``."""
-        return Bimatrix(self.first.conj().T, self.second.T)
+        return _pair(self.first.conj().T, self.second.T)
 
     @property
     def H(self):
@@ -229,19 +252,28 @@ class Bimatrix:
     # -- representations -----------------------------------------------------
 
     def real_representation(self):
-        """Real ``2n x 2m`` matrix acting on stacked (Re x, Im x)."""
-        s = self.first + self.second
-        d = self.first - self.second
-        return np.block([[s.real, -s.imag], [d.imag, d.real]])
+        """Real ``2n x 2m`` matrix acting on stacked (Re x, Im x); cached, read-only."""
+        if self._real is None:
+            n, m = self.shape
+            s = self.first + self.second
+            d = self.first - self.second
+            rep = np.empty((2 * n, 2 * m))
+            rep[:n, :m], rep[:n, m:] = s.real, -s.imag
+            rep[n:, :m], rep[n:, m:] = d.imag, d.real
+            rep.setflags(write=False)
+            object.__setattr__(self, "_real", rep)
+        return self._real
 
     def complex_lifting(self):
-        """Complex ``2n x 2m`` matrix acting on stacked ``(x, conj(x))``."""
-        return np.block(
-            [
-                [self.first, np.conj(self.second)],
-                [self.second, np.conj(self.first)],
-            ]
-        )
+        """Complex ``2n x 2m`` matrix acting on stacked ``(x, conj(x))``; cached, read-only."""
+        if self._lift is None:
+            n, m = self.shape
+            lift = np.empty((2 * n, 2 * m), dtype=complex)
+            lift[:n, :m], lift[n:, m:] = self.first, np.conj(self.first)
+            lift[n:, :m], lift[:n, m:] = self.second, np.conj(self.second)
+            lift.setflags(write=False)
+            object.__setattr__(self, "_lift", lift)
+        return self._lift
 
     # -- inverse, power, exponent, spectrum ------------------------------------
 
@@ -266,7 +298,7 @@ class Bimatrix:
         n = self.rows
         rhs = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
         stack = np.linalg.solve(lift, rhs)
-        return Bimatrix(stack[:n], stack[n:])
+        return _pair(stack[:n], stack[n:])
 
     def power(self, k):
         """``k``-fold composition (identity at ``k = 0``): a power of the real representation."""
@@ -292,10 +324,13 @@ class Bimatrix:
         return Bimatrix.from_real_representation(rep)
 
     def eigenvalues(self):
-        """Eigenvalue multiset of the real representation (conjugate-closed)."""
+        """Eigenvalue multiset of the real representation (conjugate-closed); cached."""
         if not self.is_square:
             raise DimensionError("only square bimatrices have eigenvalues")
-        return SpectrumSet(np.linalg.eigvals(self.real_representation()))
+        if self._spectrum is None:
+            spectrum = SpectrumSet(np.linalg.eigvals(self.real_representation()))
+            object.__setattr__(self, "_spectrum", spectrum)
+        return self._spectrum
 
     # -- misc ----------------------------------------------------------------
 
@@ -372,9 +407,7 @@ class HermiteBimatrix(Bimatrix):
 
     def __init__(self, p1, p2=None):
         p1 = as_cmatrix(p1, "first part")
-        if p2 is None:
-            p2 = np.zeros_like(p1)
-        super().__init__(p1, p2)
+        self._adopt(p1, np.zeros_like(p1) if p2 is None else as_cmatrix(p2, "second part"))
         if not self.is_square:
             raise DimensionError("Hermite bimatrix must be square")
         fault = _hermite_fault(self)
@@ -518,6 +551,9 @@ class SpectrumSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumSet is immutable")
+
+    def __reduce__(self):
+        return SpectrumSet, (self._values,)
 
     @property
     def values(self):

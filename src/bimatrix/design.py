@@ -206,9 +206,7 @@ def _place(a, b, targets, rng, _depth=0):
     if targets.shape[0] != n:
         raise SpectrumError(f"expected {n} target eigenvalues, got {targets.shape[0]}")
     open_eigs = np.linalg.eigvals(a)
-    sep = min(
-        abs(t - lam) for t in targets for lam in open_eigs
-    )
+    sep = np.abs(targets[:, None] - open_eigs).min()
     if sep <= 1e-8 * (1.0 + float(np.max(np.abs(targets)))) and _depth < 2:
         radius = 1.0 + max(
             float(np.max(np.abs(open_eigs))), float(np.max(np.abs(targets)))
@@ -254,8 +252,8 @@ def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
     gamma = _as_spectrum(gamma, sys.n, "system")
     if not is_controllable(sys, rtol):
         raise NotControllableError("system is not controllable; cannot assign spectrum")
-    rep = sys.real_representation()
-    k = _place(rep.a, rep.b, gamma.values, _rng(rng))
+    a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
+    k = _place(a_r, b_r, gamma.values, _rng(rng))
     return Bimatrix.from_real_representation(k)
 
 
@@ -318,8 +316,8 @@ def stabilize(sys, rng=None, rtol=PBH_RTOL):
         return lqr(sys, rtol=rtol).gain
     except (RiccatiError, PlacementError):
         gamma = _mirror_spectrum(sys.spectrum().values, sys.domain)
-        rep = sys.real_representation()
-        gain = Bimatrix.from_real_representation(_place(rep.a, rep.b, gamma, _rng(rng)))
+        a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
+        gain = Bimatrix.from_real_representation(_place(a_r, b_r, gamma, _rng(rng)))
     if not is_asymptotically_stable(closed_loop(sys, gain)):
         raise PlacementError("stabilization produced an unstable closed loop")
     return gain
@@ -345,7 +343,11 @@ class WeightPair:
 
     @classmethod
     def identity(cls, n, m):
-        return cls(HermiteBimatrix(np.eye(n)), HermiteBimatrix(np.eye(m)))
+        """Identity weights, built without the definiteness check they cannot fail."""
+        weights = object.__new__(cls)
+        object.__setattr__(weights, "q", HermiteBimatrix(np.eye(n)))
+        object.__setattr__(weights, "r", HermiteBimatrix(np.eye(m)))
+        return weights
 
 
 def _check_weight_shapes(sys, weights):
@@ -477,11 +479,9 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
     _check_weight_shapes(sys, weights)
     if not is_stabilizable(sys, rtol):
         raise NotStabilizableError("system is not stabilizable; no regulator exists")
-    rep = sys.real_representation()
+    a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
     qr_, rr = weights.q.real_representation(), weights.r.real_representation()
-    p_real, k_real, iters = _solve_are_real(
-        rep.a, rep.b, qr_, rr, sys.domain.is_continuous
-    )
+    p_real, k_real, iters = _solve_are_real(a_r, b_r, qr_, rr, sys.domain.is_continuous)
     p = hermite_from_real_representation(p_real)
     gain = Bimatrix.from_real_representation(k_real)
     residual = _bimatrix_are_residual(sys, weights, p)
@@ -740,8 +740,8 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
         raise NotObservableError(
             "system is not observable; cannot place the error spectrum exactly"
         )
-    rep = sys.real_representation()
-    k_dual = _place(rep.a.T, rep.c.T, gamma.values, _rng(rng))
+    a_r, c_r = sys.a.real_representation(), sys.c.real_representation()
+    k_dual = _place(a_r.T, c_r.T, gamma.values, _rng(rng))
     l_real = k_dual.T
     gain = Bimatrix.from_real_representation(l_real)
     achieved = (sys.a + gain @ sys.c).eigenvalues()

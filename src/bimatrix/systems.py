@@ -114,7 +114,7 @@ class CxSystem:
         )
 
     def real_representation(self):
-        """Equivalent real system of doubled dimensions."""
+        """Equivalent real system of doubled dimensions (the pairs' cached, read-only arrays)."""
         return RealSystem(
             self.a.real_representation(),
             self.b.real_representation(),
@@ -124,7 +124,7 @@ class CxSystem:
         )
 
     def complex_lifting(self):
-        """Lifted coefficient quadruple (complex 2n/2m/2p dimensions)."""
+        """Lifted coefficient quadruple (complex 2n/2m/2p dimensions; cached, read-only)."""
         return (
             self.a.complex_lifting(),
             self.b.complex_lifting(),
@@ -133,6 +133,7 @@ class CxSystem:
         )
 
     def spectrum(self):
+        """Eigenvalues of the state pair, cached on it."""
         return self.a.eigenvalues()
 
 

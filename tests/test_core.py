@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -461,6 +464,79 @@ class TestImmutability:
         bm = Bimatrix(src, np.zeros((2, 2)))
         src[0, 0] = 5.0
         assert bm.first[0, 0] == 1.0
+
+
+class TestDerivedValueCaches:
+    def test_representations_are_read_only(self, rng):
+        a = rand_bimatrix(rng, 3, 2)
+        for rep in (a.real_representation(), a.complex_lifting()):
+            with pytest.raises(ValueError):
+                rep[0, 0] = 0.0
+
+    def test_fills_equal_the_block_formulas_exactly(self, rng):
+        a = rand_bimatrix(rng, 3, 2)
+        s, d = a.first + a.second, a.first - a.second
+        want = np.block([[s.real, -s.imag], [d.imag, d.real]])
+        assert np.array_equal(a.real_representation(), want)
+        assert np.array_equal(a.complex_lifting(), lift(a))
+
+    def test_repeated_calls_return_the_same_object(self, rng):
+        a = rand_bimatrix(rng, 3, 3)
+        assert a.real_representation() is a.real_representation()
+        assert a.complex_lifting() is a.complex_lifting()
+        assert a.eigenvalues() is a.eigenvalues()
+
+    def test_fresh_pair_from_the_same_parts_agrees_exactly(self, rng):
+        a = rand_bimatrix(rng, 4, 4)
+        folded = Bimatrix.from_real_representation(a.real_representation())
+        for bm in (a, a @ a, a.inverse(), folded):
+            fresh = Bimatrix(bm.first.copy(), bm.second.copy())
+            assert np.array_equal(fresh.real_representation(), bm.real_representation())
+            assert np.array_equal(fresh.complex_lifting(), bm.complex_lifting())
+            assert np.array_equal(fresh.eigenvalues().values, bm.eigenvalues().values)
+
+    def test_results_of_pair_algebra_are_read_only(self, rng):
+        a = rand_bimatrix(rng, 3, 3)
+        for bm in (a + a, a - a, -a, 2.0 * a, a @ a, a.H, a.inverse(),
+                   Bimatrix.from_real_representation(np.eye(4))):
+            for part in (bm.first, bm.second):
+                with pytest.raises(ValueError):
+                    part[0, 0] = 0.0
+
+    def test_overflow_in_pair_algebra_is_refused(self):
+        big = Bimatrix([[1e200, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
+        huge = Bimatrix([[1e308]], [[0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for make in (lambda: big @ big, lambda: huge + huge, lambda: 1e10 * huge,
+                         lambda: Bimatrix.from_real_representation([[1e308, 0.0], [0.0, -1e308]])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    make()
+
+
+class TestPickling:
+    @pytest.mark.parametrize("kind", ["Bimatrix", "HermiteBimatrix", "SpectrumSet"])
+    def test_round_trip(self, rng, kind):
+        if kind == "SpectrumSet":
+            obj = SpectrumSet([1 + 2j, 1 - 2j, -3.0])
+        elif kind == "HermiteBimatrix":
+            obj = HermiteBimatrix([[2.0, 1j], [-1j, 3.0]], [[0.5, 0.25], [0.25, 0.0]])
+        else:
+            obj = rand_bimatrix(rng, 3, 2)
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(clone) is type(obj)
+            if kind == "SpectrumSet":
+                assert np.array_equal(clone.values, obj.values)
+            else:
+                assert np.array_equal(clone.first, obj.first)
+                assert np.array_equal(clone.second, obj.second)
+                with pytest.raises(ValueError):
+                    clone.first[0, 0] = 0.0
+
+    def test_caches_are_not_pickled(self, rng):
+        a = rand_bimatrix(rng, 4, 4)
+        before = len(pickle.dumps(a))
+        a.real_representation(), a.complex_lifting(), a.eigenvalues()
+        assert len(pickle.dumps(a)) == before
 
 
 class TestSpectrumSet:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,30 @@ class TestRepresentations:
     def test_spectrum_from_both_pictures_agrees(self, rng):
         sysm = rand_system(rng, 3, 1, 1, TimeDomain.CONTINUOUS)
         assert sysm.spectrum().matches(np.linalg.eigvals(lift(sysm.a)), rtol=1e-8)
+
+
+class TestSharedDerivedValues:
+    def test_real_representation_blocks_are_read_only_and_shared(self, rng):
+        sysm = rand_system(rng, 3, 2, 2, TimeDomain.DISCRETE)
+        rep = sysm.real_representation()
+        with pytest.raises(ValueError):
+            rep.a[0, 0] = 0.0
+        for got, bm in ((rep.a, sysm.a), (rep.b, sysm.b), (rep.c, sysm.c), (rep.d, sysm.d)):
+            assert got is bm.real_representation()
+        for got, bm in zip(sysm.complex_lifting(), (sysm.a, sysm.b, sysm.c, sysm.d)):
+            assert got is bm.complex_lifting()
+        assert sysm.spectrum() is sysm.a.eigenvalues() is sysm.spectrum()
+
+    def test_pickle_and_deepcopy_round_trip(self, rng):
+        sysm = rand_system(rng, 3, 2, 1, TimeDomain.CONTINUOUS)
+        sysm.spectrum()
+        for clone in (pickle.loads(pickle.dumps(sysm)), copy.deepcopy(sysm)):
+            assert clone.domain is sysm.domain
+            for got, want in ((clone.a, sysm.a), (clone.b, sysm.b), (clone.c, sysm.c),
+                              (clone.d, sysm.d)):
+                assert np.array_equal(got.first, want.first)
+                assert np.array_equal(got.second, want.second)
+            assert np.array_equal(clone.spectrum().values, sysm.spectrum().values)
 
 
 def _h(n):
