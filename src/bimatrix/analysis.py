@@ -6,6 +6,8 @@ pairs.  Rank tests follow the eigenvector (PBH) form: a pencil loses rank
 only at spectrum points, so only those finitely many points are checked.
 One kernel decomposes every pencil; its per-point margins are computed once
 per pencil and reused by the bad-region (stabilizable, detectable) tests.
+A lifting ``L`` has ``conj(L) = J L J`` (J swaps the blocks), so its pencils
+at ``s`` and ``conj(s)`` share singular values: one of each pair is tested.
 """
 
 import itertools
@@ -285,8 +287,8 @@ class RankTest:
     """Outcome of a pointwise rank test.
 
     ``margin`` is the smallest singular value seen over the tested spectrum
-    points (infinite when no point needed testing); the test passes when the
-    margin exceeds ``threshold``.
+    points (infinite when no point needed testing; one member of each conjugate
+    pair for the lifted tests); the test passes when it exceeds ``threshold``.
     """
 
     passed: bool
@@ -302,7 +304,8 @@ def _pbh(m0, g, points, tall=False):
 
     Returns the smallest singular value of the pencil at each point and the
     scale ``max(1, |[m0, g]|_2)`` for rank thresholds.  The stacked pencils go
-    through batched SVDs of at most 2**20 entries (16 MB) each.
+    through batched SVDs of at most 2**20 entries (16 MB) each.  The lifted
+    tests pass one member of each conjugate pair (J-symmetric pencils).
     """
     stack = np.vstack if tall else np.hstack
     scale = max(1.0, float(np.linalg.norm(stack([m0, g]), 2)))
@@ -331,8 +334,13 @@ def _bad_region_mask(values, domain):
     return ~(np.abs(values) < 1.0 - STABILITY_TOL)
 
 
+def _pair_members(spectrum):
+    """Real values and the ``Im s > 0`` member of each pair (``eigvals`` gives exact pairs)."""
+    return spectrum.values[spectrum.values.imag >= 0]
+
+
 def _lifted_test(sys, g_bm, rtol, tall=False, bad_only=False):
-    pts = sys.spectrum().values
+    pts = _pair_members(sys.spectrum())
     if bad_only:
         pts = pts[_bad_region_mask(pts, sys.domain)]
     return _rank_test(*_pbh(sys.a.complex_lifting(), g_bm.complex_lifting(), pts, tall), rtol)
@@ -382,13 +390,16 @@ def structure_report(sys, rtol=PBH_RTOL):
     """All four rank tests, the stability flag and the spectrum of one system.
 
     The lifting, the spectrum and the per-point margins of each pencil are
-    computed once; the bad-region tests take the subset of those margins.
+    computed once; the bad-region tests take the subset of those margins.  A
+    margin is the minimum over one member of each conjugate pair, where the
+    J-symmetric lifted pencils at ``s`` and ``conj(s)`` agree.
     """
     al, bl, cl = (bm.complex_lifting() for bm in (sys.a, sys.b, sys.c))
     spectrum = sys.spectrum()
-    bad = _bad_region_mask(spectrum.values, sys.domain)
-    ctrb, c_scale = _pbh(al, bl, spectrum.values)
-    obsv, o_scale = _pbh(al, cl, spectrum.values, tall=True)
+    pts = _pair_members(spectrum)
+    bad = _bad_region_mask(pts, sys.domain)
+    ctrb, c_scale = _pbh(al, bl, pts)
+    obsv, o_scale = _pbh(al, cl, pts, tall=True)
     return StructureReport(
         controllable=_rank_test(ctrb, c_scale, rtol),
         observable=_rank_test(obsv, o_scale, rtol),

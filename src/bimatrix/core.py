@@ -534,18 +534,17 @@ def conjugate_complete(values):
 class SpectrumSet:
     """Multiset of complex eigenvalues, closed under conjugation.
 
-    Construction validates closure (within a pairing tolerance that absorbs
-    eigensolver noise) and sorts the values for deterministic output.
+    Construction validates closure (exact, or within a pairing tolerance that
+    absorbs eigensolver noise) and sorts the values for deterministic output.
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, values):
         vals = np.sort_complex(np.asarray(values, dtype=complex).reshape(-1))
-        if _conjugate_pairing(vals)[1]:
-            raise SpectrumError(
-                "eigenvalue multiset is not closed under conjugation"
-            )
+        exact = np.array_equal(vals, np.sort_complex(vals.conj()))
+        if not exact and _conjugate_pairing(vals)[1]:
+            raise SpectrumError("eigenvalue multiset is not closed under conjugation")
         vals.setflags(write=False)
         object.__setattr__(self, "_values", vals)
 

@@ -28,7 +28,8 @@ from bimatrix import (
     transition_pair,
     unarrow,
 )
-from bimatrix.analysis import PBH_RTOL, STABILITY_TOL, solve_lyapunov_real
+from bimatrix import analysis
+from bimatrix.analysis import PBH_RTOL, STABILITY_TOL, _pbh, solve_lyapunov_real
 from bimatrix.exceptions import (
     NoPositiveDefiniteSolutionError,
     NoUniqueSolutionError,
@@ -352,9 +353,20 @@ def _oracle_plant(seed, kind, n, domain, stable):
 
 
 def _assert_matches_oracle(test, expected):
+    """Margins above the roundoff floor to 12 digits; below it, both only fail.
+
+    The floor is ``100 eps max(1, |[m0, g]|_2)``.  A margin of that order is
+    the roundoff of a rank-deficient pencil: which point of a conjugate pair
+    is decomposed, or how, moves it by O(1) relative, so no digit of it is
+    information (Paige, IEEE TAC 26(1), 1981).
+    """
     passed, margin, threshold = expected
+    floor = 100 * np.finfo(float).eps * threshold / PBH_RTOL
     assert test.passed == passed
-    assert test.margin == pytest.approx(margin, rel=1e-12, abs=0.0)
+    if margin > floor:
+        assert test.margin == pytest.approx(margin, rel=1e-12, abs=0.0)
+    else:
+        assert test.margin <= floor and not test.passed and not passed
     assert test.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0)
 
 
@@ -452,6 +464,65 @@ class TestPbhKernelAgainstOracle:
                 rep.stabilizable,
                 lifted_pbh_oracle(sysm, PBH_RTOL, STABILITY_TOL)["stabilizable"],
             )
+
+
+class TestConjugatePairHalving:
+    """The lifted tests decompose one member of each conjugate pair.
+
+    With ``J`` swapping the blocks, ``conj(L) = J L J`` for every lifting, so
+    the lifted pencils at ``s`` and ``conj(s)`` have the same singular values.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24])
+    def test_pair_spectra_are_exactly_conjugate_closed(self, n):
+        for seed, kind in enumerate(("general", "normal", "antilinear")):
+            for domain in ("continuous", "discrete"):
+                sysm = _oracle_plant(900 + 10 * n + seed, kind, n, domain, stable=False)
+                values = sysm.a.eigenvalues().values
+                assert values.size == 2 * n
+                assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
+
+    @pytest.mark.parametrize("kind", ["general", "normal", "antilinear"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_margins_agree_at_conjugate_points(self, kind, n):
+        sysm = _oracle_plant(300 + n, kind, n, "discrete", stable=False)
+        al, bl, cl = lift(sysm.a), lift(sysm.b), lift(sysm.c)
+        pts = np.linalg.eigvals(lift(sysm.a))
+        for g, tall in ((bl, False), (cl, True)):
+            at_s, scale = _pbh(al, g, pts, tall)
+            at_conj, _ = _pbh(al, g, pts.conj(), tall)
+            # well above the roundoff floor, so every digit compared is information
+            assert np.min(at_s) > 1e-6 * scale
+            np.testing.assert_allclose(at_conj, at_s, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_lifted_tests_pass_only_upper_half_points(self, monkeypatch, domain):
+        passed_points = []
+
+        def counting_pbh(m0, g, points, tall=False):
+            passed_points.append(np.array(points))
+            return _pbh(m0, g, points, tall)
+
+        monkeypatch.setattr(analysis, "_pbh", counting_pbh)
+        for seed, kind in enumerate(("general", "normal", "antilinear")):
+            sysm = _oracle_plant(40 + seed, kind, 8, domain, stable=False)
+            values = sysm.spectrum().values
+            upper = values[values.imag >= 0]
+            real = np.count_nonzero(values.imag == 0)
+            assert real < values.size and upper.size == real + (values.size - real) // 2
+            if domain == "continuous":
+                bad = upper[upper.real >= -STABILITY_TOL]
+            else:
+                bad = upper[np.abs(upper) >= 1.0 - STABILITY_TOL]
+            assert 0 < bad.size < upper.size or kind == "antilinear"
+            passed_points.clear()
+            structure_report(sysm)
+            for test in (is_controllable, is_observable, is_stabilizable, is_detectable):
+                test(sysm)
+            expected = [upper, upper, upper, upper, bad, bad]
+            assert len(passed_points) == len(expected)
+            for got, want in zip(passed_points, expected):
+                assert np.array_equal(got, want)
 
 
 class TestStability:

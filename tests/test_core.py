@@ -17,7 +17,10 @@ from bimatrix import (
     is_positive_definite,
     quadratic_form_real,
 )
+from bimatrix import core
 from bimatrix.core import (
+    CONJ_PAIR_RTOL,
+    _conjugate_pairing,
     _spectrum_mismatch,
     bimatrix_from_json,
     bimatrix_to_json,
@@ -580,6 +583,68 @@ class TestSpectrumSet:
             assert got is expected, name
             if len(other) == len(vals):
                 assert got == (_spectrum_mismatch(other, vals) <= rtol), name
+
+
+def _spectrum_case(rng, kind):
+    """A random multiset of one kind, with its expected closure verdict."""
+    reals = rng.standard_normal(rng.integers(0, 5)) * 10.0 ** rng.integers(-3, 4)
+    mod = 10.0 ** rng.uniform(-3, 3, rng.integers(1, 12))
+    upper = mod * np.exp(1j * rng.uniform(0.1, np.pi - 0.1, mod.size))
+    if kind == "repeated":
+        reals, upper = np.tile(reals, 2), np.tile(upper[:3], 3)
+    # the last value is the partner of upper[0]
+    vals = np.concatenate([reals, upper, upper[1:].conj(), upper[:1].conj()])
+    tol = CONJ_PAIR_RTOL * max(1.0, abs(upper[0]))
+    # half the steps move only the imaginary part, which keeps the sort order
+    step = tol * (rng.choice([-1j, 1j]) if rng.uniform() < 0.5
+                  else np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    closed = True
+    if kind == "inside":
+        vals[-1] += rng.uniform(0.05, 0.9) * step
+    elif kind == "outside":
+        vals[-1] += rng.uniform(1.5, 10.0) * step
+        closed = False
+    elif kind == "unpaired":
+        vals, closed = vals[:-1], False
+    elif kind == "nearly real":
+        # an imaginary part inside the tolerance counts as real
+        vals = np.append(vals, rng.standard_normal() + 1j * rng.uniform(-0.9, 0.9) * CONJ_PAIR_RTOL)
+    elif kind == "nan":
+        # the loop's verdict on a NaN depends on where it sorts
+        vals[rng.integers(vals.size)] = complex(np.nan, rng.choice([0.0, 1.0]))
+        closed = None
+    return rng.permutation(vals), closed
+
+
+class TestSpectrumSetFastPath:
+    """An exactly closed set is accepted without the pairing loop."""
+
+    KINDS = ("exact", "repeated", "inside", "outside", "unpaired", "nearly real", "nan")
+
+    def test_verdict_equals_pairing_loop(self):
+        rng = np.random.default_rng(1201)
+        for case in range(1400):
+            kind = self.KINDS[case % len(self.KINDS)]
+            vals, closed = _spectrum_case(rng, kind)
+            loop_accepts = not _conjugate_pairing(np.sort_complex(vals))[1]
+            try:
+                SpectrumSet(vals)
+                accepted = True
+            except SpectrumError:
+                accepted = False
+            assert accepted == loop_accepts, (kind, vals)
+            assert closed is None or accepted == closed, (kind, vals)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24])
+    def test_eigenvalues_skip_the_pairing_loop(self, monkeypatch, n):
+        def refuse(values):
+            raise AssertionError("pairing loop ran on an exactly closed set")
+
+        monkeypatch.setattr(core, "_conjugate_pairing", refuse)
+        a = rand_bimatrix(np.random.default_rng(n), n, n)
+        assert len(a.eigenvalues()) == 2 * n
+        with pytest.raises(AssertionError):
+            SpectrumSet([1j, -1j + 1e-12])
 
 
 def multiset(values):
