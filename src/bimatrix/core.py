@@ -487,10 +487,10 @@ def _conjugate_pairing(values):
     """Pair values with their conjugates within ``CONJ_PAIR_RTOL * max(1, |v|)``.
 
     Returns ``(groups, unpaired)``: ``(i,)`` for a value that counts as real,
-    ``(i, j)`` for a conjugate pair, and the indices left without a partner.
+    ``(i, j)`` for a pair, and the partnerless indices, every non-finite one too.
     """
-    vals, used = values.tolist(), [False] * len(values)
-    groups, unpaired = [], []
+    used = (~np.isfinite(values)).tolist()
+    vals, groups, unpaired = values.tolist(), [], np.flatnonzero(used).tolist()
     for i in np.argsort(-np.abs(np.imag(values))).tolist():
         if used[i]:
             continue
@@ -542,9 +542,9 @@ class SpectrumSet:
 
     def __init__(self, values):
         vals = np.sort_complex(np.asarray(values, dtype=complex).reshape(-1))
-        exact = np.array_equal(vals, np.sort_complex(vals.conj()))
+        exact = np.isfinite(vals).all() and np.array_equal(vals, np.sort_complex(vals.conj()))
         if not exact and _conjugate_pairing(vals)[1]:
-            raise SpectrumError("eigenvalue multiset is not closed under conjugation")
+            raise SpectrumError("eigenvalue multiset is not finite and closed under conjugation")
         vals.setflags(write=False)
         object.__setattr__(self, "_values", vals)
 

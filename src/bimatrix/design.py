@@ -127,8 +127,9 @@ def _block_sylvester(a, lam_mat):
     ``(a - lam I) x_j = c_j``.  A 2x2 block ``[[r, w], [-w, r]]`` at columns
     ``j, j+1`` solves ``(a - (r + iw) I) z = c_j + i c_{j+1}`` and gives
     ``x_j = Re z``, ``x_{j+1} = Im z``.  The shifted matrices are built once;
-    each ``c`` is one batched ``np.linalg.solve`` over all blocks, which
-    raises ``LinAlgError`` for an exactly singular shift.
+    each ``c``, ``(n, n)`` or a ``(k, n, n)`` stack, is one batched
+    ``np.linalg.solve`` over all blocks (the ``k`` sides share one LU per shift),
+    which raises ``LinAlgError`` for an exactly singular shift.
     """
     n = a.shape[0]
     sup = np.append(np.diag(lam_mat, 1), 0.0)
@@ -143,14 +144,14 @@ def _block_sylvester(a, lam_mat):
     complex_data = np.iscomplexobj(lam_mat)
 
     def solve(c):
-        rhs = c[:, starts].astype(complex)
-        rhs[:, opens] += 1j * c[:, seconds]
-        z = np.linalg.solve(shifted, rhs.T[:, :, None])[:, :, 0].T
+        rhs = c[..., starts].astype(complex)
+        rhs[..., opens] += 1j * c[..., seconds]
+        z = np.linalg.solve(shifted, rhs.reshape(-1, n, starts.size).T).T.reshape(rhs.shape)
         if complex_data:
             return z
-        x = np.empty((n, n))
-        x[:, starts] = z.real
-        x[:, seconds] = z[:, opens].imag
+        x = np.empty(c.shape)
+        x[..., starts] = z.real
+        x[..., seconds] = z[..., opens].imag
         return x
 
     return solve
@@ -161,28 +162,36 @@ def _place_once(a, b, lam_mat, targets, rng):
 
     Each draw of ``G`` solves ``a X - X lam_mat = -b G`` column block by column
     block (:func:`_block_sylvester`, the parametric method of Kautsky, Nichols
-    and Van Dooren).  A draw is skipped when a shift is exactly singular,
-    ``X`` is numerically singular, or ``a + b K`` misses ``targets``; after
-    ``PLACEMENT_DRAWS`` draws :class:`PlacementError` is raised.
+    and Van Dooren).  Draw 1 is solved alone, then draws 2 to ``PLACEMENT_DRAWS``
+    as one stack (each shift is factored at most twice); the first that passes
+    wins, and ``rng`` ends where one-at-a-time draws leave it.  A draw fails when
+    a shift is exactly singular, ``X`` is numerically singular, or ``a + b K``
+    misses ``targets``; if all fail, :class:`PlacementError` is raised.
     """
-    n = a.shape[0]
-    m = b.shape[1]
+    n, m = a.shape[0], b.shape[1]
     complex_data = np.iscomplexobj(a) or np.iscomplexobj(b)
     sylvester = _block_sylvester(a, lam_mat)
-    for _ in range(PLACEMENT_DRAWS):
-        g = rng.standard_normal((m, n))
-        if complex_data:
-            g = g + 1j * rng.standard_normal((m, n))
+
+    def draw(count):
+        g = rng.standard_normal((count, 1 + complex_data, m, n))
+        return g[:, 0] + 1j * g[:, 1] if complex_data else g[:, 0]
+
+    for count in (1, PLACEMENT_DRAWS - 1):
+        state, gs = rng.bit_generator.state, draw(count)
         try:
-            x = sylvester(-b @ g)
+            xs = sylvester(-b @ gs)
         except np.linalg.LinAlgError:
             continue
-        sv = np.linalg.svd(x, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
-            continue
-        k = np.linalg.solve(x.T, g.T).T
-        if _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets) <= PLACEMENT_RTOL:
-            return k
+        for used, (g, x) in enumerate(zip(gs, xs), start=1):
+            sv = np.linalg.svd(x, compute_uv=False)
+            if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
+                continue
+            k = np.linalg.solve(x.T, g.T).T
+            if _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets) <= PLACEMENT_RTOL:
+                if used < count:  # rewind past the draws after the winner
+                    rng.bit_generator.state = state
+                    draw(used)
+                return k
     raise PlacementError(
         f"eigenvalue placement failed after {PLACEMENT_DRAWS} parameter draws"
     )
@@ -236,16 +245,17 @@ def _as_spectrum(gamma, n, what):
 def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
     """Full-feedback gain pair placing the closed-loop spectrum at ``gamma``.
 
-    ``gamma`` must hold ``2n`` values closed under conjugation.  The gain is
-    computed on the real representation and folded back, so the closed loop
+    ``gamma`` must hold ``2n`` finite values closed under conjugation.  The gain
+    is computed on the real representation and folded back, so the closed loop
     ``{A} + {B}{K}`` attains ``gamma`` exactly (up to numerical tolerance).
+    ``rng`` is a ``numpy.random.Generator``; a call consumes exactly the draws it tries.
 
     Raises
     ------
     NotControllableError
         If the system fails the controllability rank test.
     SpectrumError
-        If ``gamma`` has the wrong size or is not conjugate-closed.
+        If ``gamma`` has the wrong size, a non-finite value, or is not conjugate-closed.
     PlacementError
         If no acceptable parameter draw is found.
     """
@@ -261,15 +271,18 @@ def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):
     """Classical (conjugate-free) gain for a normal system.
 
     Restricts the feedback to ``u = K1 x``; only meaningful for systems with
-    no conjugate coupling.  ``poles`` holds the ``n`` desired eigenvalues of
-    ``A1 + B1 K1`` (the pair spectrum is then ``poles`` united with its
-    conjugates).  With a single input the returned gain is the unique one.
+    no conjugate coupling.  ``poles`` holds the ``n`` desired (finite)
+    eigenvalues of ``A1 + B1 K1`` (the pair spectrum is then ``poles`` united
+    with its conjugates).  With a single input the returned gain is unique.
+    ``rng`` is a ``numpy.random.Generator``; a call consumes exactly the draws it tries.
     """
     if not sys.is_normal:
         raise ValueError("conjugate-free placement requires a normal system")
     poles = np.asarray(poles, dtype=complex).reshape(-1)
     if poles.shape[0] != sys.n:
         raise SpectrumError(f"expected {sys.n} poles, got {poles.shape[0]}")
+    if not np.all(np.isfinite(poles)):
+        raise SpectrumError("poles must be finite")
     a1, b1 = sys.a.first, sys.b.first
     if not _rank_test(*_pbh(a1, b1, np.linalg.eigvals(a1)), rtol):
         raise NotControllableError(
@@ -310,7 +323,8 @@ def stabilize(sys, rng=None, rtol=PBH_RTOL):
     :func:`lqr` has already checked for stabilizability (raising
     :class:`NotStabilizableError`) and for closed-loop stability.  If the
     Riccati solve fails, falls back to placing the mirrored open-loop
-    spectrum; only that gain is checked here.
+    spectrum; only that gain is checked here.  ``rng`` is a
+    ``numpy.random.Generator``; a fallback consumes exactly the draws it tries.
     """
     try:
         return lqr(sys, rtol=rtol).gain
@@ -729,7 +743,8 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
     The error dynamics are ``e+ = ({A} + {L}{C}) e``; the gain is obtained by
     placing ``gamma`` on the transposed real representation and transposing
     back.  ``gamma`` needs ``2n`` conjugate-closed values strictly inside the
-    stable region.
+    stable region.  ``rng`` is a ``numpy.random.Generator``; a call consumes
+    exactly the draws it tries.
     """
     gamma = _as_spectrum(gamma, sys.n, "observer")
     if np.any(_bad_region_mask(gamma.values, sys.domain)):

@@ -547,6 +547,14 @@ class TestSpectrumSet:
         with pytest.raises(SpectrumError):
             SpectrumSet([1j, 2.0])
 
+    @pytest.mark.parametrize("values", [[np.nan], [complex(np.inf, 1.0)],
+                                        [complex(np.inf, np.inf)], [np.inf],
+                                        [1j, -1j, complex(np.nan, 0.0)]])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(SpectrumError, match="finite"):
+            SpectrumSet(values)
+        assert _conjugate_pairing(np.asarray(values, dtype=complex))[1]
+
     def test_accepts_closed_multiset(self):
         s = SpectrumSet([1 + 2j, 1 - 2j, 3.0])
         assert len(s) == 3
@@ -610,9 +618,9 @@ def _spectrum_case(rng, kind):
         # an imaginary part inside the tolerance counts as real
         vals = np.append(vals, rng.standard_normal() + 1j * rng.uniform(-0.9, 0.9) * CONJ_PAIR_RTOL)
     elif kind == "nan":
-        # the loop's verdict on a NaN depends on where it sorts
+        # a non-finite value is never paired, wherever it sorts
         vals[rng.integers(vals.size)] = complex(np.nan, rng.choice([0.0, 1.0]))
-        closed = None
+        closed = False
     return rng.permutation(vals), closed
 
 

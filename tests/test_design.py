@@ -32,7 +32,8 @@ from bimatrix import (
     state_response,
 )
 import bimatrix.design as design_module
-from bimatrix.design import _place, _real_spectrum_matrix
+from bimatrix.core import _spectrum_mismatch
+from bimatrix.design import PLACEMENT_RTOL, _place, _real_spectrum_matrix
 from bimatrix.exceptions import (
     DimensionError,
     NotControllableError,
@@ -103,6 +104,24 @@ class TestAssignEigenvalues:
         sysm = _example_normal_system()
         with pytest.raises(SpectrumError):
             assign_eigenvalues(sysm, [-1.0, -2.0, -3.0, 1j], rng=rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0),
+                                     complex(np.inf, np.inf), complex(np.nan, 1.0)])
+    def test_non_finite_targets_refused_before_any_draw(self, monkeypatch, bad):
+        def no_draw(*args):
+            raise AssertionError("placement ran on a non-finite target")
+
+        monkeypatch.setattr(design_module, "_place_once", no_draw)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        one_state = make_normal([[0.5]], [[1.0]], [[1.0]], domain="discrete")
+        with pytest.raises(SpectrumError):
+            assign_eigenvalues(one_state, [bad, -1.0], rng=rng)
+        with pytest.raises(SpectrumError):
+            assign_eigenvalues_normal(one_state, [bad], rng=rng)
+        with pytest.raises(SpectrumError):
+            assign_eigenvalues_normal(_example_normal_system(), [-1.0, bad], rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_real_target_blocks_match_the_pool_loop(self, rng):
         # shuffled real values and conjugate pairs, some repeated
@@ -202,6 +221,26 @@ class TestPlacementSylvesterSolve:
         want = scipy.linalg.solve_sylvester(a, -lam, c)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
+    def test_real_blocks_stacked_equal_single_solves(self, rng, n):
+        # a stack of 20 right-hand sides shares one LU per shift, bit for bit
+        a, lam = self._real_problem(rng, n, n // 4)
+        c = rng.standard_normal((20, n, n))
+        solve = design_module._block_sylvester(a, lam)
+        x = solve(c)
+        assert x.shape == c.shape and x.dtype == float
+        assert all(np.array_equal(x[i], solve(c[i])) for i in range(20))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
+    def test_complex_diagonal_stacked_equal_single_solves(self, rng, n):
+        a = rand_cmatrix(rng, n, n, 1.0 / np.sqrt(n)) + 3.0 * np.eye(n)
+        lam = np.diag(-1.0 - 2.0 * rng.random(n) + 1j * rng.standard_normal(n))
+        c = rand_cmatrix(rng, 20 * n, n).reshape(20, n, n)
+        solve = design_module._block_sylvester(a, lam)
+        x = solve(c)
+        assert x.shape == c.shape
+        assert all(np.array_equal(x[i], solve(c[i])) for i in range(20))
+
     @pytest.mark.parametrize(
         "a, lam",
         [(np.diag([1.0, 2.0]), np.diag([1.0, -3.0])),
@@ -214,6 +253,87 @@ class TestPlacementSylvesterSolve:
         targets = np.linalg.eigvals(lam)
         with pytest.raises(PlacementError, match="20 parameter draws"):
             design_module._place_once(a, np.ones((2, 1)), lam, targets, rng)
+
+
+def _sequential_place(a, b, targets, rng):
+    """The draw loop one ``G`` at a time, on real data: ``(gain or None, draws)``."""
+    sylvester = design_module._block_sylvester(a, _real_spectrum_matrix(targets))
+    for draws in range(1, design_module.PLACEMENT_DRAWS + 1):
+        g = rng.standard_normal((b.shape[1], a.shape[0]))
+        x = sylvester(-b @ g)
+        sv = np.linalg.svd(x, compute_uv=False)
+        if sv[-1] <= 1e-10 * sv[0]:
+            continue
+        k = np.linalg.solve(x.T, g.T).T
+        if _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets) <= PLACEMENT_RTOL:
+            return k, draws
+    return None, design_module.PLACEMENT_DRAWS
+
+
+def _raw_discrete_plant(seed, n):
+    """Unit-Gaussian discrete plant, m = p = 1, and stable targets for it."""
+    rng = np.random.default_rng(seed)
+    sysm = rand_system(rng, n, 1, 1, TimeDomain.DISCRETE)
+    return sysm, rand_stable_spectrum(rng, 2 * n, TimeDomain.DISCRETE)
+
+
+class TestPlacementDraws:
+    """Draw 1 alone, draws 2-20 as one stack: same gain, same generator state."""
+
+    # (plant seed, draws the sequential loop uses): raw n = 8 plants whose
+    # first draw is rejected, and raw n = 16 plants that decline after 20
+    CASES = [(1, 8, 2), (3, 8, 3), (14, 8, 11), (17, 8, 19), (0, 16, 20), (1, 16, 20)]
+
+    @pytest.mark.parametrize("seed, n, draws", CASES)
+    def test_generator_left_where_sequential_draws_leave_it(self, seed, n, draws):
+        sysm, gamma = _raw_discrete_plant(seed, n)
+        a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
+        want, used = _sequential_place(a_r, b_r, gamma, np.random.default_rng(7))
+        assert used == draws
+        rng = np.random.default_rng(7)
+        if want is None:
+            with pytest.raises(PlacementError, match="20 parameter draws"):
+                assign_eigenvalues(sysm, gamma, rng=rng)
+        else:
+            gain = assign_eigenvalues(sysm, gamma, rng=rng)
+            want = Bimatrix.from_real_representation(want)
+            assert np.array_equal(gain.first, want.first)
+            assert np.array_equal(gain.second, want.second)
+        ref = np.random.default_rng(7)
+        ref.standard_normal((draws, b_r.shape[1], a_r.shape[0]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_complex_data_rewinds_both_parts_of_each_draw(self):
+        # a complex normal plant whose first draw is rejected and second accepted
+        rng = np.random.default_rng(97)
+        n = 8
+        a1, b1, c1 = rand_cmatrix(rng, n, n), rand_cmatrix(rng, n, 1), rand_cmatrix(rng, 1, n)
+        poles = rng.uniform(0.2, 0.8, n) * np.exp(1j * rng.uniform(0, 6.28, n))
+        sysm = make_normal(a1, b1, c1, domain="discrete")
+        rng = np.random.default_rng(7)
+        gain = assign_eigenvalues_normal(sysm, poles, rng=rng)
+        assert multiset_close(np.linalg.eigvals(a1 + b1 @ gain.first), poles, rtol=1e-6)
+        ref = np.random.default_rng(7)
+        ref.standard_normal((2, 2, 1, n))  # two draws, real then imaginary part
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed, n, stack_solves", [(1, 8, 2), (0, 16, 2), (2, 4, 1)])
+    def test_shifted_stack_factored_at_most_twice(self, monkeypatch, seed, n, stack_solves):
+        solves = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            solves.append(np.ndim(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        sysm, gamma = _raw_discrete_plant(seed, n)
+        if n == 16:  # declines after 20 draws
+            with pytest.raises(PlacementError):
+                assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+        else:
+            assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+        assert solves.count(3) == stack_solves
 
 
 class TestClosedLoop:
