@@ -10,6 +10,7 @@ generally has no pair structure to fold back.
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,9 +321,9 @@ def stabilize(sys, rng=None, rtol=PBH_RTOL):
     """Gain pair whose closed loop is asymptotically stable.
 
     Returns the gain of the quadratic regulator with identity weights, which
-    :func:`lqr` has already checked for stabilizability (raising
-    :class:`NotStabilizableError`) and for closed-loop stability.  If the
-    Riccati solve fails, falls back to placing the mirrored open-loop
+    :func:`lqr` has checked for closed-loop stability; if it fails, its rank
+    test (``rtol``) names an unstabilizable plant (:class:`NotStabilizableError`).
+    Another Riccati failure falls back to placing the mirrored open-loop
     spectrum; only that gain is checked here.  ``rng`` is a
     ``numpy.random.Generator``; a fallback consumes exactly the draws it tries.
     """
@@ -357,10 +358,12 @@ class WeightPair:
 
     @classmethod
     def identity(cls, n, m):
-        """Identity weights, built without the definiteness check they cannot fail."""
+        """Identity weights, built without the symmetry and definiteness checks they cannot fail."""
         weights = object.__new__(cls)
-        object.__setattr__(weights, "q", HermiteBimatrix(np.eye(n)))
-        object.__setattr__(weights, "r", HermiteBimatrix(np.eye(m)))
+        for name, size in (("q", n), ("r", m)):
+            eye = object.__new__(HermiteBimatrix)
+            eye._adopt(np.eye(size, dtype=complex), np.zeros((size, size), dtype=complex))
+            object.__setattr__(weights, name, eye)
         return weights
 
 
@@ -375,10 +378,11 @@ def _check_weight_shapes(sys, weights):
 class LqrSolution:
     """Riccati solution pair, optimal gain pair, and solution diagnostics.
 
-    ``residual`` is the relative residual of the pair-valued Riccati equation
-    evaluated with pair arithmetic.  ``iterations`` is 1 plus the number of
-    Newton polish steps that followed the Schur solve, for :func:`lqr` and
-    both antilinear regulators alike.
+    ``residual`` is the relative residual of the pair-valued Riccati equation,
+    in closed-loop form with the returned gain (:func:`_bimatrix_are_residual`)
+    for :func:`lqr`.  ``iterations`` is 1 plus the number of Newton polish
+    steps that followed the Schur solve, for :func:`lqr` and both antilinear
+    regulators alike.
     ``minimum_cost(x0)`` evaluates the optimal cost ``Re(x0^H {P} x0)``.
     """
 
@@ -399,7 +403,8 @@ def _solve_are_real(a, b, q, r, continuous):
     ``|res| / max(1, |P|) <= ARE_RESIDUAL_RTOL``.  When it misses, at most
     ``ARE_NEWTON_STEPS`` Kleinman (continuous) or Hewer (discrete) Newton
     steps polish it, each one Lyapunov solve for the closed loop of the
-    current gain.  The polished ``P`` is kept only if it lies within
+    current gain, which must be stabilizing (it never is on an unstabilizable
+    plant).  The polished ``P`` is kept only if it lies within
     ``ARE_POLISH_RTOL`` of the Schur solution: two independent solvers must
     agree.  ``K`` is the optimal gain for ``P``, and ``iterations`` is 1 plus
     the number of Newton steps taken.
@@ -413,18 +418,15 @@ def _solve_are_real(a, b, q, r, continuous):
         raise RiccatiError(f"Schur Riccati solve failed: {exc}") from exc
     if not np.all(np.isfinite(p0)):
         raise RiccatiError("Schur Riccati solve returned non-finite entries")
-    p = p0
+    p, domain = p0, TimeDomain.CONTINUOUS if continuous else TimeDomain.DISCRETE
     for steps in range(ARE_NEWTON_STEPS + 1):
-        # optimal gain (u = K x) for the current P; the residual is written
-        # with the closed loop a + b K
+        # optimal gain (u = K x) for the current P; the residual uses the closed loop
         if continuous:
             k = -np.linalg.solve(r, b.T @ p)
-            acl = a + b @ k
-            res = a.T @ p + p @ acl + q
         else:
             k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
-            acl = a + b @ k
-            res = a.T @ p @ acl - p + q
+        acl = a + b @ k
+        res = a.T @ p + p @ acl + q if continuous else a.T @ p @ acl - p + q
         rel = np.linalg.norm(res) / max(1.0, np.linalg.norm(p))
         if rel <= ARE_RESIDUAL_RTOL:
             moved = np.linalg.norm(p - p0) / np.linalg.norm(p0)
@@ -436,6 +438,8 @@ def _solve_are_real(a, b, q, r, continuous):
             return p, k, 1 + steps
         if steps == ARE_NEWTON_STEPS:
             break
+        if np.any(_bad_region_mask(np.linalg.eigvals(acl), domain)):
+            raise RiccatiError("Newton polish needs a stabilizing gain; the current gain is not")
         try:
             p = solve_lyapunov_real(acl, q + k.T @ r @ k, continuous)
         except NoUniqueSolutionError as exc:
@@ -446,22 +450,53 @@ def _solve_are_real(a, b, q, r, continuous):
     )
 
 
-def _bimatrix_are_residual(sys, weights, p):
-    """Relative residual of the pair-valued Riccati equation, pair arithmetic only."""
-    a, b = sys.a, sys.b
-    q, r = weights.q, weights.r
+def _bimatrix_are_residual(sys, weights, p, gain):
+    """Relative residual of the pair-valued Riccati equation in closed-loop form.
+
+    ``A^H P + P (A + B K) + Q`` (continuous) or ``A^H P (A + B K) - P + Q``
+    (discrete) in pair arithmetic: the Riccati equation for the optimal
+    ``K``, without a pair inverse, and it also checks that ``P`` and ``K`` match.
+    """
+    a, q = sys.a, weights.q
     if sys.domain.is_continuous:
-        res = a.H @ p + p @ a - p @ b @ r.inverse() @ b.H @ p + q
+        res = a.H @ p + p @ (a + sys.b @ gain) + q
     else:
-        s = r + b.H @ p @ b
-        res = a.H @ p @ a - p - a.H @ p @ b @ s.inverse() @ b.H @ p @ a + q
+        res = a.H @ p @ (a + sys.b @ gain) - p + q
     num = np.linalg.norm(res.first) + np.linalg.norm(res.second)
-    den = max(
-        1.0,
-        np.linalg.norm(q.first) + np.linalg.norm(q.second),
-        np.linalg.norm(p.first) + np.linalg.norm(p.second),
-    )
+    den = max(1.0, np.linalg.norm(q.first) + np.linalg.norm(q.second),
+              np.linalg.norm(p.first) + np.linalg.norm(p.second))
     return float(num / den)
+
+
+@contextmanager
+def _named_failure(stabilizable, error):
+    """Raise ``error`` from a :class:`RiccatiError` in the block if ``stabilizable()`` fails.
+
+    A verified regulator proves the plant stabilizable (only then has the Riccati
+    equation a stabilizing solution), so the rank test runs only to name a failure.
+    """
+    try:
+        yield
+    except RiccatiError as exc:
+        if not stabilizable():
+            raise error from exc
+        raise
+
+
+def _lqr_solution(sys, weights):
+    """:func:`lqr` without its rank test."""
+    _check_weight_shapes(sys, weights)
+    a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
+    qr_, rr = weights.q.real_representation(), weights.r.real_representation()
+    p_real, k_real, iters = _solve_are_real(a_r, b_r, qr_, rr, sys.domain.is_continuous)
+    p = hermite_from_real_representation(p_real)
+    gain = Bimatrix.from_real_representation(k_real)
+    residual = _bimatrix_are_residual(sys, weights, p, gain)
+    if not is_positive_definite(p):
+        raise RiccatiError("Riccati solution is not positive definite")
+    if not is_asymptotically_stable(closed_loop(sys, gain)):
+        raise RiccatiError("optimal closed loop failed the stability check")
+    return LqrSolution(p=p, gain=gain, residual=residual, iterations=iters)
 
 
 def lqr(sys, weights=None, rtol=PBH_RTOL):
@@ -471,7 +506,9 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
     are equivalent) with SciPy's Schur solvers and at most a few Newton
     polish steps (see :func:`_solve_are_real`), folds the solution back into
     a Hermite pair ``{P1, P2}`` and the gain into ``{K1*, K2*}``, and verifies
-    positive definiteness, closed-loop stability and the pair-form residual.
+    positive definiteness, closed-loop stability and the closed-loop form of
+    the pair residual.  The stabilizability rank test runs only to name a
+    failure (see :func:`_named_failure`); ``rtol`` matters only then.
 
     Parameters
     ----------
@@ -488,22 +525,13 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
         When the Schur solve fails, misses the residual gate even after
         Newton polishing, disagrees with its polished solution, or the result
         fails the definiteness or stability check.
+    NotStabilizableError
+        In place of a ``RiccatiError`` when the plant fails the rank test.
     """
     weights = WeightPair.identity(sys.n, sys.m) if weights is None else weights
-    _check_weight_shapes(sys, weights)
-    if not is_stabilizable(sys, rtol):
-        raise NotStabilizableError("system is not stabilizable; no regulator exists")
-    a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
-    qr_, rr = weights.q.real_representation(), weights.r.real_representation()
-    p_real, k_real, iters = _solve_are_real(a_r, b_r, qr_, rr, sys.domain.is_continuous)
-    p = hermite_from_real_representation(p_real)
-    gain = Bimatrix.from_real_representation(k_real)
-    residual = _bimatrix_are_residual(sys, weights, p)
-    if not is_positive_definite(p):
-        raise RiccatiError("Riccati solution is not positive definite")
-    if not is_asymptotically_stable(closed_loop(sys, gain)):
-        raise RiccatiError("optimal closed loop failed the stability check")
-    return LqrSolution(p=p, gain=gain, residual=residual, iterations=iters)
+    with _named_failure(lambda: is_stabilizable(sys, rtol),
+                        NotStabilizableError("system is not stabilizable; no regulator exists")):
+        return _lqr_solution(sys, weights)
 
 
 def _grid_span(horizon, dt):
@@ -616,7 +644,8 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
     part, meet the decoupled equation and reproduce the folded general gain
     as ``K1``, each within 1e-8 relative.  A ``RiccatiError`` means that the
     Schur solve failed or missed its residual gate, or that one of these
-    checks or the closed-loop stability check failed.
+    checks or the closed-loop stability check failed; only then does the rank
+    test :func:`antilinear_stabilizable_discrete` run, to name it.
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
@@ -625,42 +654,33 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
     n, m = a2.shape[0], b2.shape[-1]
     if a2.shape != (n, n) or b2.shape != (n, m) or q1.shape != (n, n) or r1.shape != (m, m):
         raise DimensionError("coefficient or weight shapes are inconsistent")
-    if not antilinear_stabilizable_discrete(a2, b2):
-        raise NotStabilizableError("antilinear system is not stabilizable")
-
-    p_real, k_real, iters = _solve_are_real(
-        Bimatrix.antilinear(a2).real_representation(),
-        Bimatrix.antilinear(b2).real_representation(),
-        weights.q.real_representation(),
-        weights.r.real_representation(),
-        continuous=False,
-    )
-    p_pair = hermite_from_real_representation(p_real)
-    gain = Bimatrix.from_real_representation(k_real)
-    p, pc = p_pair.first, np.conj(p_pair.first)
-    k1 = -np.linalg.solve(r1 + b2.conj().T @ pc @ b2, b2.conj().T @ pc @ a2)
-    res = q1 + a2.conj().T @ pc @ a2 + a2.conj().T @ pc @ b2 @ k1 - p
-    scale = max(1.0, np.linalg.norm(p), np.linalg.norm(q1))
-    residual = float(np.linalg.norm(res) / scale)
-    coupling = float(np.linalg.norm(p_pair.second) / scale)
-    gain_scale = max(1.0, np.linalg.norm(gain.first) + np.linalg.norm(gain.second))
-    drift = (np.linalg.norm(k1 - gain.first) + np.linalg.norm(gain.second)) / gain_scale
-    if max(residual, coupling, drift) > 1e-8:
-        raise RiccatiError(
-            f"solution violates the decoupled equation (residual {residual:.1e}, "
-            f"conjugate part {coupling:.1e}, gain drift {drift:.1e})"
-        )
-
-    closed = a2 + b2 @ k1
-    closed_eigs = np.linalg.eigvals(np.conj(closed) @ closed)
-    if np.any(_bad_region_mask(closed_eigs, TimeDomain.DISCRETE)):
-        raise RiccatiError("regulated antilinear loop failed the stability check")
-    return LqrSolution(
-        p=HermiteBimatrix(p),
-        gain=Bimatrix.normal(k1),
-        residual=residual,
-        iterations=iters,
-    )
+    with _named_failure(lambda: antilinear_stabilizable_discrete(a2, b2),
+                        NotStabilizableError("antilinear system is not stabilizable")):
+        p_real, k_real, iters = _solve_are_real(
+            Bimatrix.antilinear(a2).real_representation(),
+            Bimatrix.antilinear(b2).real_representation(),
+            weights.q.real_representation(), weights.r.real_representation(), continuous=False)
+        p_pair = hermite_from_real_representation(p_real)
+        gain = Bimatrix.from_real_representation(k_real)
+        p, pc = p_pair.first, np.conj(p_pair.first)
+        k1 = -np.linalg.solve(r1 + b2.conj().T @ pc @ b2, b2.conj().T @ pc @ a2)
+        closed = a2 + b2 @ k1
+        res = q1 + a2.conj().T @ pc @ closed - p
+        scale = max(1.0, np.linalg.norm(p), np.linalg.norm(q1))
+        residual = float(np.linalg.norm(res) / scale)
+        coupling = float(np.linalg.norm(p_pair.second) / scale)
+        gain_scale = max(1.0, np.linalg.norm(gain.first) + np.linalg.norm(gain.second))
+        drift = (np.linalg.norm(k1 - gain.first) + np.linalg.norm(gain.second)) / gain_scale
+        if max(residual, coupling, drift) > 1e-8:
+            raise RiccatiError(
+                f"solution violates the decoupled equation (residual {residual:.1e}, "
+                f"conjugate part {coupling:.1e}, gain drift {drift:.1e})"
+            )
+        closed_eigs = np.linalg.eigvals(np.conj(closed) @ closed)
+        if np.any(_bad_region_mask(closed_eigs, TimeDomain.DISCRETE)):
+            raise RiccatiError("regulated antilinear loop failed the stability check")
+        return LqrSolution(p=HermiteBimatrix(p), gain=Bimatrix.normal(k1), residual=residual,
+                           iterations=iters)
 
 
 def antilinear_lqr_continuous(a2, b2, q, r1):
@@ -673,63 +693,43 @@ def antilinear_lqr_continuous(a2, b2, q, r1):
         K1* = -R1^{-1} B2^H P2,    K2* = -conj(R1)^{-1} B2^T P1
 
     asserting agreement with the general extraction.  Controllability is the
-    exact stabilizability condition in continuous time.
+    exact stabilizability condition in continuous time; its rank test
+    :func:`antilinear_controllable` runs only to name a ``RiccatiError``.
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
     if not isinstance(q, HermiteBimatrix):
         raise TypeError("q must be a HermiteBimatrix weight pair")
     weights = WeightPair(q, HermiteBimatrix(r1))
-    r1 = weights.r.first
-    if not antilinear_controllable(a2, b2):
-        raise NotControllableError(
-            "continuous antilinear system is not controllable (hence not stabilizable)"
-        )
-    sys = make_antilinear(a2, b2, domain=TimeDomain.CONTINUOUS)
-    sol = lqr(sys, weights)
-    p1, p2 = sol.p.first, sol.p.second
-    q1, q2 = q.first, q.second
+    with _named_failure(lambda: antilinear_controllable(a2, b2), NotControllableError(
+            "continuous antilinear system is not controllable (hence not stabilizable)")):
+        sol = _lqr_solution(make_antilinear(a2, b2, domain=TimeDomain.CONTINUOUS), weights)
+        p1, p2 = sol.p.first, sol.p.second
+        q1, q2, r1 = weights.q.first, weights.q.second, weights.r.first
 
-    r1i = np.linalg.inv(r1)
-    r1ci = np.conj(r1i)
-    res1 = (
-        a2.conj().T @ p2
-        + np.conj(p2) @ a2
-        - np.conj(p2) @ b2 @ r1i @ b2.conj().T @ p2
-        - p1 @ np.conj(b2) @ r1ci @ b2.T @ p1
-        + q1
-    )
-    res2 = (
-        a2.T @ p1
-        + np.conj(p1) @ a2
-        - np.conj(p1) @ b2 @ r1i @ b2.conj().T @ p2
-        - p2 @ np.conj(b2) @ r1ci @ b2.T @ p1
-        + q2
-    )
-    scale = max(1.0, np.linalg.norm(q1) + np.linalg.norm(q2),
-                np.linalg.norm(p1) + np.linalg.norm(p2))
-    residual = float(max(np.linalg.norm(res1), np.linalg.norm(res2)) / scale)
-    if residual > 1e-8:
-        raise RiccatiError(
-            f"solution violates the decoupled equations (residual {residual:.1e})"
-        )
-
-    k1 = -r1i @ b2.conj().T @ p2
-    k2 = -r1ci @ b2.T @ p1
-    gain_scale = max(1.0, np.linalg.norm(sol.gain.first) + np.linalg.norm(sol.gain.second))
-    drift = (
-        np.linalg.norm(k1 - sol.gain.first) + np.linalg.norm(k2 - sol.gain.second)
-    ) / gain_scale
-    if drift > 1e-8:
-        raise RiccatiError(
-            f"decoupled gain formulas disagree with the general gain ({drift:.1e})"
-        )
-    return LqrSolution(
-        p=sol.p,
-        gain=Bimatrix(k1, k2),
-        residual=residual,
-        iterations=sol.iterations,
-    )
+        r1i = np.linalg.inv(r1)
+        k1 = -r1i @ b2.conj().T @ p2
+        k2 = -np.conj(r1i) @ b2.T @ p1
+        # the decoupled equations in closed-loop form, with the gains they give
+        res1 = a2.conj().T @ p2 + np.conj(p2) @ (a2 + b2 @ k1) + p1 @ np.conj(b2) @ k2 + q1
+        res2 = a2.T @ p1 + np.conj(p1) @ (a2 + b2 @ k1) + p2 @ np.conj(b2) @ k2 + q2
+        scale = max(1.0, np.linalg.norm(q1) + np.linalg.norm(q2),
+                    np.linalg.norm(p1) + np.linalg.norm(p2))
+        residual = float(max(np.linalg.norm(res1), np.linalg.norm(res2)) / scale)
+        if residual > 1e-8:
+            raise RiccatiError(
+                f"solution violates the decoupled equations (residual {residual:.1e})"
+            )
+        gain_scale = max(1.0, np.linalg.norm(sol.gain.first) + np.linalg.norm(sol.gain.second))
+        drift = (
+            np.linalg.norm(k1 - sol.gain.first) + np.linalg.norm(k2 - sol.gain.second)
+        ) / gain_scale
+        if drift > 1e-8:
+            raise RiccatiError(
+                f"decoupled gain formulas disagree with the general gain ({drift:.1e})"
+            )
+        return LqrSolution(p=sol.p, gain=Bimatrix(k1, k2), residual=residual,
+                           iterations=sol.iterations)
 
 
 # ---------------------------------------------------------------------------

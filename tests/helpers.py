@@ -66,6 +66,76 @@ def rand_controllable_system(rng, n, m, p, domain, scale=1.0):
     raise AssertionError("could not generate a controllable system")
 
 
+def rand_unstabilizable_system(rng, n, m, domain):
+    """System with an unstable part that no input reaches, up to rounding.
+
+    The real representation is ``T [[A11, A12], [0, A22]] T^-1`` with input
+    ``T [B1; 0]`` for a random real ``T``; the order-``n`` block ``A22`` is
+    shifted (continuous) or scaled (discrete) to put its whole spectrum 0.3
+    past the stability boundary.  Any real even-order system folds into pair
+    form, so the plant is a general coupled one.
+    """
+    t = rng.standard_normal((2 * n, 2 * n))
+    a = rng.standard_normal((2 * n, 2 * n))
+    a[n:, :n] = 0.0
+    lam = np.linalg.eigvals(a[n:, n:])
+    if domain in (TimeDomain.CONTINUOUS, "continuous"):
+        a[n:, n:] -= (lam.real.min() - 0.3) * np.eye(n)
+    else:
+        a[n:, n:] *= 1.3 / np.abs(lam).min()
+    b = rng.standard_normal((2 * n, 2 * m))
+    b[n:] = 0.0
+    return CxSystem(
+        Bimatrix.from_real_representation(t @ a @ np.linalg.inv(t)),
+        Bimatrix.from_real_representation(t @ b),
+        Bimatrix.identity(n),
+        Bimatrix.zeros(n, m),
+        domain,
+    )
+
+
+def rand_unstabilizable_antilinear(rng, n, m):
+    """``(A2, B2)`` of ``x+ = conj(A2) conj(x) + conj(B2) conj(u)`` with an unreached unstable part.
+
+    In the basis ``y`` with ``x = T y``, ``A2`` is block upper triangular and
+    ``B2`` vanishes on the last ``n - n // 2`` coordinates, whose block ``Z``
+    has ``rho(conj(Z) Z) = 1.5``: unstable in both domains.  The change of
+    basis gives ``conj(T)^-1 A2 T`` and ``conj(T)^-1 B2``.
+    """
+    k = n // 2
+    a2 = rand_cmatrix(rng, n, n)
+    a2[k:, :k] = 0.0
+    z = a2[k:, k:]
+    a2[k:, k:] = z * np.sqrt(1.5 / np.max(np.abs(np.linalg.eigvals(np.conj(z) @ z))))
+    b2 = rand_cmatrix(rng, n, m)
+    b2[k:] = 0.0
+    t = rand_cmatrix(rng, n, n)
+    tci = np.linalg.inv(np.conj(t))
+    return tci @ a2 @ t, tci @ b2
+
+
+def bimatrix_are_residual_inverse_form(sysm, weights, p):
+    """Relative pair residual of the Riccati equation, written with pair inverses.
+
+    ``A^H P + P A - P B R^-1 B^H P + Q`` (continuous) or
+    ``A^H P A - P - A^H P B S^-1 B^H P A + Q`` with ``S = R + B^H P B``
+    (discrete), over ``max(1, |Q|, |P|)`` with ``|X| = |X1| + |X2|``: the
+    reference for the closed-loop form of ``LqrSolution.residual``.
+    """
+    a, b = sysm.a, sysm.b
+    q, r = weights.q, weights.r
+    if sysm.domain.is_continuous:
+        res = a.H @ p + p @ a - p @ b @ r.inverse() @ b.H @ p + q
+    else:
+        s = r + b.H @ p @ b
+        res = a.H @ p @ a - p - a.H @ p @ b @ s.inverse() @ b.H @ p @ a + q
+
+    def size(x):
+        return np.linalg.norm(x.first) + np.linalg.norm(x.second)
+
+    return float(size(res) / max(1.0, size(q), size(p)))
+
+
 def lift(bm):
     """Doubled-up complex matrix, assembled independently of the library."""
     a1, a2 = np.asarray(bm.first), np.asarray(bm.second)

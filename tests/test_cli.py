@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bimatrix import make_antilinear, make_normal, system_from_json, system_to_j
 from bimatrix.cli import main
 from bimatrix.core import bimatrix_to_json, cmatrix_to_json
 
-from helpers import rand_system
+from helpers import rand_system, rand_unstabilizable_system
 
 
 @pytest.fixture
@@ -155,6 +156,27 @@ class TestLqrVerb:
         k2 = np.array(report["results"]["gain"]["second"]["data"], dtype=float)
         # scalar balance with q = 4: p = 2, gain = -2
         assert np.allclose(k2, [[-2.0, 0.0]], atol=1e-7)
+
+
+class TestUnstabilizablePlant:
+    @pytest.mark.parametrize("verb", ["lqr", "stabilize"])
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    @pytest.mark.parametrize("seed", [None, 1, 4, 11, 15])
+    def test_infeasible_with_one_stderr_line(self, workdir, capsys, verb, domain, seed):
+        # the Riccati solve runs first and must not warn before the rank test
+        # names the failure (a warning would print a second stderr line); seed
+        # None is the 1-state plant with eigenvalue 2 and no input
+        if seed is None:
+            sysm = make_normal([[2.0]], [[0.0]], [[1.0]], domain=domain)
+        else:
+            sysm = rand_unstabilizable_system(np.random.default_rng([seed, 3]), 3, 1, domain)
+        path = _write_json(workdir / "sys.json", system_to_json(sysm))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run([verb, path], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "not stabilizable" in err, err
 
 
 class TestObserverVerb:

@@ -31,6 +31,7 @@ from bimatrix import (
     stabilize,
     state_response,
 )
+import bimatrix.core as core_module
 import bimatrix.design as design_module
 from bimatrix.core import _spectrum_mismatch
 from bimatrix.design import PLACEMENT_RTOL, _place, _real_spectrum_matrix
@@ -45,11 +46,14 @@ from bimatrix.exceptions import (
 )
 
 from helpers import (
+    bimatrix_are_residual_inverse_form,
     multiset_close,
     rand_cmatrix,
     rand_controllable_system,
     rand_stable_spectrum,
     rand_system,
+    rand_unstabilizable_antilinear,
+    rand_unstabilizable_system,
     real_spectrum_matrix_loop,
 )
 
@@ -75,6 +79,24 @@ def _rand_pd_weights(rng, n, m):
 def _rand_spd(rng, k, floor=0.5):
     y = rng.standard_normal((k, k))
     return y @ y.T + floor * np.eye(k)
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named function of ``bimatrix.design``; returns the live call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(design_module, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(design_module, name, counted)
+    return counts
+
+
+def _unstable_without_input(domain):
+    """The 1-state plant with eigenvalue 2 and no input: unstabilizable in both domains."""
+    return CxSystem(Bimatrix.normal([[2.0]]), Bimatrix.zeros(1, 1), Bimatrix.identity(1),
+                    Bimatrix.zeros(1, 1), domain)
 
 
 class TestAssignEigenvalues:
@@ -389,19 +411,23 @@ class TestStabilize:
 
     @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
     def test_lqr_path_runs_each_check_once(self, monkeypatch, domain):
-        counts = {"is_stabilizable": 0, "is_asymptotically_stable": 0}
-        for name in counts:
-            def counted(*args, _name=name, _real=getattr(design_module, name)):
-                counts[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(design_module, name, counted)
+        # a verified regulator proves stabilizability: no rank test on success
+        counts = _count_calls(monkeypatch, "is_stabilizable", "is_asymptotically_stable")
         sysm = rand_controllable_system(np.random.default_rng(17), 3, 2, 1, domain)
         gain = stabilize(sysm)
-        assert counts == {"is_stabilizable": 1, "is_asymptotically_stable": 1}
+        assert counts == {"is_stabilizable": 0, "is_asymptotically_stable": 1}
         want = lqr(sysm).gain
         assert np.array_equal(gain.first, want.first)
         assert np.array_equal(gain.second, want.second)
+
+    @pytest.mark.parametrize("design", [lqr, stabilize])
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_rank_test_runs_once_to_name_a_failed_solve(self, monkeypatch, design, domain):
+        counts = _count_calls(monkeypatch, "is_stabilizable")
+        with pytest.raises(NotStabilizableError) as info:
+            design(_unstable_without_input(domain))
+        assert counts == {"is_stabilizable": 1}
+        assert isinstance(info.value.__cause__, RiccatiError)
 
     @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
     def test_random_controllable_plants(self, rng, domain):
@@ -473,6 +499,42 @@ class TestLqr:
                 ) + ql
             scale = max(1.0, np.linalg.norm(ql), np.linalg.norm(pl))
             assert np.linalg.norm(res) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_residual_agrees_with_inverse_form_reference(self, domain):
+        # 24 seeded plants per domain; the two forms differ only by rounding
+        # (worst gap measured: 8.6e-14)
+        rng = np.random.default_rng(14)
+        for _ in range(24):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            sysm = rand_controllable_system(rng, n, m, 1, domain)
+            weights = _rand_pd_weights(rng, n, m)
+            sol = lqr(sysm, weights)
+            want = bimatrix_are_residual_inverse_form(sysm, weights, sol.p)
+            assert abs(sol.residual - want) <= 1e-12
+            assert sol.residual <= 1e-8
+
+    def test_residual_checks_that_the_gain_belongs_to_p(self, rng):
+        sysm = rand_controllable_system(rng, 3, 1, 1, TimeDomain.CONTINUOUS)
+        weights = _rand_pd_weights(rng, 3, 1)
+        sol = lqr(sysm, weights)
+        residual = design_module._bimatrix_are_residual
+        assert residual(sysm, weights, sol.p, sol.gain) == sol.residual
+        assert residual(sysm, weights, sol.p, lqr(sysm).gain) > 1e-3
+
+    def test_identity_weights_skip_the_symmetry_rule(self, monkeypatch):
+        want = WeightPair(HermiteBimatrix(np.eye(3)), HermiteBimatrix(np.eye(2)))
+
+        def refuse(p):
+            raise AssertionError("the symmetry rule ran on identity weights")
+
+        monkeypatch.setattr(core_module, "_hermite_fault", refuse)
+        got = WeightPair.identity(3, 2)
+        for g, w in ((got.q, want.q), (got.r, want.r)):
+            assert type(g) is HermiteBimatrix
+            for part, ref in ((g.first, w.first), (g.second, w.second)):
+                assert part.dtype == ref.dtype and np.array_equal(part, ref)
+                assert not part.flags.writeable
 
     def test_normal_plant_with_normal_weights_reduces(self, rng):
         a1 = rand_cmatrix(rng, 3, 3)
@@ -691,6 +753,16 @@ class TestAntilinearLqrDiscrete:
                 np.array([[2.0]]), np.zeros((1, 1)), np.eye(1), np.eye(1)
             )
 
+    def test_rank_test_runs_only_to_name_a_failure(self, rng, monkeypatch):
+        counts = _count_calls(monkeypatch, "antilinear_stabilizable_discrete")
+        antilinear_lqr_discrete(rand_cmatrix(rng, 2, 2, scale=0.8), rand_cmatrix(rng, 2, 1),
+                                np.eye(2), np.eye(1))
+        assert counts == {"antilinear_stabilizable_discrete": 0}
+        with pytest.raises(NotStabilizableError) as info:
+            antilinear_lqr_discrete(np.array([[2.0]]), np.zeros((1, 1)), np.eye(1), np.eye(1))
+        assert counts == {"antilinear_stabilizable_discrete": 1}
+        assert isinstance(info.value.__cause__, RiccatiError)
+
     def test_weight_refused_by_the_weight_pair_rule(self):
         # eigenvalues {1, 1e-11}: min/max is below PD_EIG_RTOL = 1e-10
         q1 = np.diag([1.0, 1e-11])
@@ -773,6 +845,59 @@ class TestAntilinearLqrContinuous:
                 np.array([[1.0]]), np.zeros((1, 1)), HermiteBimatrix(np.eye(1)),
                 np.eye(1),
             )
+
+    def test_reduced_rank_test_runs_only_to_name_a_failure(self, monkeypatch):
+        # one reduced test on failure, and never the lifted one
+        counts = _count_calls(monkeypatch, "antilinear_controllable", "is_stabilizable")
+        antilinear_lqr_continuous(np.zeros((1, 1)), np.ones((1, 1)),
+                                  HermiteBimatrix(np.eye(1)), np.eye(1))
+        assert counts == {"antilinear_controllable": 0, "is_stabilizable": 0}
+        with pytest.raises(NotControllableError) as info:
+            antilinear_lqr_continuous(np.array([[1.0]]), np.zeros((1, 1)),
+                                      HermiteBimatrix(np.eye(1)), np.eye(1))
+        assert counts == {"antilinear_controllable": 1, "is_stabilizable": 0}
+        assert isinstance(info.value.__cause__, RiccatiError)
+
+
+class TestUnstabilizableFailurePath:
+    """The Riccati solve runs before the rank test: a failure must stay warning-free."""
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_regulators_decline_without_warnings(self, domain):
+        plants = [_unstable_without_input(domain)] + [
+            rand_unstabilizable_system(np.random.default_rng([seed, n]), n, 1, domain)
+            for seed in range(10) for n in (2, 3)
+        ]
+        antilinear = [(np.array([[2.0]]), np.zeros((1, 1)))] + [
+            rand_unstabilizable_antilinear(np.random.default_rng([seed, n]), n, 1)
+            for seed in range(10) for n in (2, 3)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sysm in plants:
+                for design in (lqr, stabilize):
+                    with pytest.raises(NotStabilizableError) as info:
+                        design(sysm)
+                    assert isinstance(info.value.__cause__, RiccatiError)
+            for a2, b2 in antilinear:
+                n = a2.shape[0]
+                if domain.is_continuous:
+                    with pytest.raises(NotControllableError):
+                        antilinear_lqr_continuous(a2, b2, HermiteBimatrix(np.eye(n)), np.eye(1))
+                else:
+                    with pytest.raises(NotStabilizableError):
+                        antilinear_lqr_discrete(a2, b2, np.eye(n), np.eye(1))
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_newton_polish_refuses_a_gain_that_is_not_stabilizing(self, monkeypatch, domain):
+        def no_lyapunov(*args):
+            raise AssertionError("a Newton step ran for an unstabilizable plant")
+
+        monkeypatch.setattr(design_module, "solve_lyapunov_real", no_lyapunov)
+        for seed in range(10):
+            sysm = rand_unstabilizable_system(np.random.default_rng([seed, 3]), 3, 1, domain)
+            with pytest.raises(NotStabilizableError):
+                lqr(sysm)
 
 
 class TestObserver:
