@@ -459,7 +459,8 @@ def _solve_lyapunov_refined(a, w, continuous):
 
     An operator eigenvalue ``conj(lam_i) + lam_j`` (``conj(lam_i) lam_j - 1``
     in discrete time) within ``1e-10 * max(1, max|lam|)`` of zero, the scale
-    squared in discrete time, raises :class:`NoUniqueSolutionError` first.
+    squared in discrete time, raises :class:`NoUniqueSolutionError` first; so
+    does a SciPy solve that finds its linear system singular.
     """
     lam = np.linalg.eigvals(a)
     scale = max(1.0, float(np.max(np.abs(lam))))
@@ -488,8 +489,11 @@ def _solve_lyapunov_refined(a, w, continuous):
 
         def solve(rhs):
             return scipy.linalg.solve_discrete_lyapunov(ah, -rhs)
-    p = solve(-w)
-    p = p - solve(op(p) + w)
+    try:
+        p = solve(-w)
+        p = p - solve(op(p) + w)
+    except np.linalg.LinAlgError as exc:  # the direct discrete solve's Kronecker system
+        raise NoUniqueSolutionError(f"Lyapunov operator is singular in float64: {exc}") from exc
     p = (p + p.conj().T) / 2.0
     return p, np.linalg.norm(op(p) + w)
 

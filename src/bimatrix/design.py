@@ -84,152 +84,94 @@ ARE_POLISH_RTOL = math.sqrt(np.finfo(float).eps)
 MAX_GRID_STEPS = 2_000_000
 # Steps per block of lqr_cost's propagation: memory stays O(block) at any grid.
 COST_BLOCK_STEPS = 4096
-# Random Sylvester parameters drawn per placement before giving up.
-PLACEMENT_DRAWS = 20
-
-
-def _rng(rng):
-    if rng is None:
-        return np.random.default_rng(DEFAULT_SEED)
-    return rng
+# Gauss-Seidel sweeps over the eigenvector columns before placement gives up.
+PLACEMENT_SWEEPS = 2
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue placement (parametric Sylvester method)
+# Eigenvalue placement (Kautsky, Nichols and Van Dooren, method 0)
 # ---------------------------------------------------------------------------
 
 
-def _real_spectrum_matrix(values):
-    """Real block-diagonal matrix with the given conjugate-closed spectrum.
+def _place(a, b, targets, rng):
+    """Gain K with ``spectrum(a + b K) = targets``, by Kautsky, Nichols and Van Dooren's method 0.
 
-    Blocks are built from, and sorted by, each pair's first member in
-    ``(Re, |Im|, Im)`` order.
-    """
-    values = np.asarray(values, dtype=complex)
-    groups, unpaired = _conjugate_pairing(values)
-    if unpaired:
-        raise SpectrumError("spectrum is not closed under conjugation")
-    blocks = sorted(
-        (min((v.real, abs(v.imag), v.imag) for v in values[list(g)]), len(g)) for g in groups
-    )
-    out = np.zeros((values.size, values.size))
-    k = 0
-    for (re, im, _), size in blocks:
-        out[k:k + size, k:k + size] = [[re]] if size == 1 else [[re, im], [-im, re]]
-        k += size
-    return out
-
-
-def _block_sylvester(a, lam_mat):
-    """Solver ``c -> X`` of ``a X - X lam_mat = c``, one diagonal block of ``lam_mat`` at a time.
-
-    ``lam_mat`` is diagonal (complex data) or comes from
-    :func:`_real_spectrum_matrix`.  A 1x1 block ``lam`` at column ``j`` solves
-    ``(a - lam I) x_j = c_j``.  A 2x2 block ``[[r, w], [-w, r]]`` at columns
-    ``j, j+1`` solves ``(a - (r + iw) I) z = c_j + i c_{j+1}`` and gives
-    ``x_j = Re z``, ``x_{j+1} = Im z``.  The shifted matrices are built once;
-    each ``c``, ``(n, n)`` or a ``(k, n, n)`` stack, is one batched
-    ``np.linalg.solve`` over all blocks (the ``k`` sides share one LU per shift),
-    which raises ``LinAlgError`` for an exactly singular shift.
-    """
-    n = a.shape[0]
-    sup = np.append(np.diag(lam_mat, 1), 0.0)
-    pair = sup != 0  # column j opens a 2x2 block
-    starts = np.flatnonzero(np.append(True, ~pair[:-1]))
-    opens = pair[starts]
-    seconds = starts[opens] + 1
-    shifted = np.empty((starts.size, n, n), dtype=complex)
-    shifted[:] = a
-    diag = np.arange(n)
-    shifted[:, diag, diag] -= (np.diag(lam_mat)[starts] + 1j * sup[starts])[:, None]
-    complex_data = np.iscomplexobj(lam_mat)
-
-    def solve(c):
-        rhs = c[..., starts].astype(complex)
-        rhs[..., opens] += 1j * c[..., seconds]
-        z = np.linalg.solve(shifted, rhs.reshape(-1, n, starts.size).T).T.reshape(rhs.shape)
-        if complex_data:
-            return z
-        x = np.empty(c.shape)
-        x[..., starts] = z.real
-        x[..., seconds] = z[..., opens].imag
-        return x
-
-    return solve
-
-
-def _place_once(a, b, lam_mat, targets, rng):
-    """Gain ``K = G X^{-1}`` for one spectrum matrix ``lam_mat``, over random ``G``.
-
-    Each draw of ``G`` solves ``a X - X lam_mat = -b G`` column block by column
-    block (:func:`_block_sylvester`, the parametric method of Kautsky, Nichols
-    and Van Dooren).  Draw 1 is solved alone, then draws 2 to ``PLACEMENT_DRAWS``
-    as one stack (each shift is factored at most twice); the first that passes
-    wins, and ``rng`` ends where one-at-a-time draws leave it.  A draw fails when
-    a shift is exactly singular, ``X`` is numerically singular, or ``a + b K``
-    misses ``targets``; if all fail, :class:`PlacementError` is raised.
-    """
-    n, m = a.shape[0], b.shape[1]
-    complex_data = np.iscomplexobj(a) or np.iscomplexobj(b)
-    sylvester = _block_sylvester(a, lam_mat)
-
-    def draw(count):
-        g = rng.standard_normal((count, 1 + complex_data, m, n))
-        return g[:, 0] + 1j * g[:, 1] if complex_data else g[:, 0]
-
-    for count in (1, PLACEMENT_DRAWS - 1):
-        state, gs = rng.bit_generator.state, draw(count)
-        try:
-            xs = sylvester(-b @ gs)
-        except np.linalg.LinAlgError:
-            continue
-        for used, (g, x) in enumerate(zip(gs, xs), start=1):
-            sv = np.linalg.svd(x, compute_uv=False)
-            if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
-                continue
-            k = np.linalg.solve(x.T, g.T).T
-            if _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets) <= PLACEMENT_RTOL:
-                if used < count:  # rewind past the draws after the winner
-                    rng.bit_generator.state = state
-                    draw(used)
-                return k
-    raise PlacementError(
-        f"eigenvalue placement failed after {PLACEMENT_DRAWS} parameter draws"
-    )
-
-
-def _place(a, b, targets, rng, _depth=0):
-    """Gain K with ``spectrum(a + b K) = targets`` via a random-parameter
-    Sylvester equation ``a X - X L = -b G``, ``K = G X^{-1}``.
-
-    ``L`` is ``diag(targets)`` for complex data and the real block-diagonal
-    :func:`_real_spectrum_matrix` for real data.  ``X`` comes one column block
-    of ``L`` at a time from ``(a - lam I) x = -b g`` (see
-    :func:`_place_once`).
-
-    Target values overlapping the open-loop spectrum make the Sylvester
-    operator singular; those are routed through an intermediate disjoint
-    spectrum (two placements composed).
+    With ``b = [U0 U1] diag(s) V^H`` (an SVD with a rank cut), the eigenvectors
+    for ``lam`` fill ``S_lam``, the null space of ``U1^H (a - lam I)``, also at
+    an open-loop eigenvalue; a batched complete QR of the ``(a - lam I)^H U1``
+    gives orthonormal bases.  Real data take one ``lam`` per conjugate pair
+    (real shifts stay real) and the conjugate column for the partner.  Column
+    ``j`` of ``X`` starts as the projection onto ``S_lam`` of column ``j`` of
+    the orthogonal factor of the call's one ``rng.standard_normal((2, n, n))``
+    draw (for the ``q`` pairs of real data, columns ``j`` and ``j + q`` give
+    the real and imaginary part).  ``K = b^+ U0 U0^H (X Lam X^{-1} - a)``, real
+    for real data, must meet ``targets`` within ``PLACEMENT_RTOL``; after a
+    miss, each of up to ``PLACEMENT_SWEEPS`` Gauss-Seidel sweeps moves each
+    column (a pair's two at once) to the unit projection onto its ``S_lam`` of
+    that column of ``X^{-H}`` where this raises ``|det X|``, and checks again.
+    A singular ``X``, a non-finite ``K`` or a last miss raises :class:`PlacementError`.
     """
     targets = np.asarray(targets, dtype=complex)
-    n = a.shape[0]
+    n, m = a.shape[0], b.shape[1]
     if targets.shape[0] != n:
         raise SpectrumError(f"expected {n} target eigenvalues, got {targets.shape[0]}")
-    open_eigs = np.linalg.eigvals(a)
-    sep = np.abs(targets[:, None] - open_eigs).min()
-    if sep <= 1e-8 * (1.0 + float(np.max(np.abs(targets)))) and _depth < 2:
-        radius = 1.0 + max(
-            float(np.max(np.abs(open_eigs))), float(np.max(np.abs(targets)))
-        )
-        mids = -radius * (1.0 + 0.5 * np.arange(1, n + 1, dtype=float))
-        k1 = _place(a, b, mids.astype(complex), rng, _depth + 1)
-        k2 = _place(a + b @ k1, b, targets, rng, _depth + 1)
-        return k1 + k2
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        lam_mat = np.diag(targets)
-    else:
-        lam_mat = _real_spectrum_matrix(targets)
-    return _place_once(a, b, lam_mat, targets, rng)
+    complex_data = np.iscomplexobj(a) or np.iscomplexobj(b)
+    real, pairs = np.empty(0), targets
+    if not complex_data:
+        groups, unpaired = _conjugate_pairing(targets)
+        if unpaired:
+            raise SpectrumError("spectrum is not closed under conjugation")
+        real = np.array([targets[g[0]].real for g in groups if len(g) == 1])
+        pairs = np.array([complex(targets[g[0]].real, abs(targets[g[0]].imag))
+                          for g in groups if len(g) == 2], dtype=complex)
+    p, q = real.size, pairs.size
+    u, s, vh = np.linalg.svd(b)
+    r = int(np.count_nonzero(s > max(n, m) * np.finfo(float).eps * s.max(initial=0.0)))
+    g = (np.random.default_rng(DEFAULT_SEED) if rng is None else rng).standard_normal((2, n, n))
+    z = np.linalg.qr(g[0] + 1j * g[1] if complex_data else g[0], mode="complete")[0]
+    z = z if complex_data else np.hstack([z[:, :p], z[:, p:p + q] + 1j * z[:, p + q:]])
+    bases = [np.linalg.qr(a.conj().T @ u[:, r:] - np.conj(lam)[:, None, None] * u[:, r:],
+                          mode="complete")[0][..., n - r:] if lam.size else np.empty((0, n, r))
+             for lam in (real, pairs)]
+    x = np.hstack([np.einsum("kij,kj->ik", basis, np.einsum("kji,jk->ki", basis.conj(), zs))
+                   for basis, zs in zip(bases, (z[:, :p], z[:, p:]))]).astype(complex)
+    if not complex_data:
+        x, pairs = np.hstack([x, x[:, p:].conj()]), np.concatenate([pairs, pairs.conj()])
+    lam, bases = np.concatenate([real, pairs]), [*bases[0], *bases[1]]
+
+    for sweep in range(PLACEMENT_SWEEPS + 1):
+        if sweep:  # unit columns; x_inv follows each move by a Woodbury update
+            scale = np.linalg.norm(x, axis=0)
+            x, x_inv = x / scale, np.linalg.inv(x) * scale[:, None]
+            for j, basis in enumerate(bases):
+                y = x_inv[j].conj()
+                y = basis @ (basis.conj().T @ (y.real if j < p else y))
+                y /= np.linalg.norm(y)
+                if j < p or complex_data:  # det X grows by the factor 1 + w_j, at least 1
+                    w = x_inv @ (y - x[:, j])
+                    x_inv -= np.outer(w / (1.0 + w[j]), x_inv[j])
+                    x[:, j] = y
+                    continue
+                cols, y = [j, j + q], np.column_stack((y, y.conj()))
+                w = x_inv @ (y - x[:, cols])
+                (c00, c01), (c10, c11) = w[cols] + np.eye(2)
+                det = c00 * c11 - c01 * c10  # the factor on det X; a pair may lower it
+                if abs(det) > 1.0:
+                    x_inv -= w @ (np.array([[c11, -c01], [-c10, c00]]) @ x_inv[cols]) / det
+                    x[:, cols] = y
+        try:
+            k = np.linalg.solve(x.T, (x * lam).T).T - a
+        except np.linalg.LinAlgError:
+            raise PlacementError("eigenvalue placement failed: X is singular") from None
+        k = vh[:r].conj().T @ ((u[:, :r].conj().T @ k) / s[:r, None])
+        k = k if complex_data else k.real
+        if not np.all(np.isfinite(k)):
+            raise PlacementError("eigenvalue placement failed: the gain is not finite")
+        miss = _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets)
+        if miss <= PLACEMENT_RTOL:
+            return k
+    raise PlacementError(f"eigenvalue placement failed after {PLACEMENT_SWEEPS} sweeps: the "
+                         f"closed-loop spectrum misses the targets by {miss:.1e} (relative)")
 
 
 def _as_spectrum(gamma, n, what):
@@ -249,7 +191,8 @@ def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
     ``gamma`` must hold ``2n`` finite values closed under conjugation.  The gain
     is computed on the real representation and folded back, so the closed loop
     ``{A} + {B}{K}`` attains ``gamma`` exactly (up to numerical tolerance).
-    ``rng`` is a ``numpy.random.Generator``; a call consumes exactly the draws it tries.
+    ``rng`` is a ``numpy.random.Generator``; a call that reaches placement
+    draws ``standard_normal((2, 2n, 2n))`` from it once (see :func:`_place`).
 
     Raises
     ------
@@ -258,13 +201,13 @@ def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
     SpectrumError
         If ``gamma`` has the wrong size, a non-finite value, or is not conjugate-closed.
     PlacementError
-        If no acceptable parameter draw is found.
+        If the closed loop misses ``gamma`` after the last sweep of :func:`_place`.
     """
     gamma = _as_spectrum(gamma, sys.n, "system")
     if not is_controllable(sys, rtol):
         raise NotControllableError("system is not controllable; cannot assign spectrum")
     a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
-    k = _place(a_r, b_r, gamma.values, _rng(rng))
+    k = _place(a_r, b_r, gamma.values, rng)
     return Bimatrix.from_real_representation(k)
 
 
@@ -275,7 +218,7 @@ def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):
     no conjugate coupling.  ``poles`` holds the ``n`` desired (finite)
     eigenvalues of ``A1 + B1 K1`` (the pair spectrum is then ``poles`` united
     with its conjugates).  With a single input the returned gain is unique.
-    ``rng`` is a ``numpy.random.Generator``; a call consumes exactly the draws it tries.
+    ``rng`` gives one ``standard_normal((2, n, n))`` draw to :func:`_place`.
     """
     if not sys.is_normal:
         raise ValueError("conjugate-free placement requires a normal system")
@@ -289,7 +232,7 @@ def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):
         raise NotControllableError(
             "the (A1, B1) pair is not controllable; cannot assign poles"
         )
-    k1 = _place(a1, b1, poles, _rng(rng))
+    k1 = _place(a1, b1, poles, rng)
     return Bimatrix.normal(k1)
 
 
@@ -324,15 +267,15 @@ def stabilize(sys, rng=None, rtol=PBH_RTOL):
     :func:`lqr` has checked for closed-loop stability; if it fails, its rank
     test (``rtol``) names an unstabilizable plant (:class:`NotStabilizableError`).
     Another Riccati failure falls back to placing the mirrored open-loop
-    spectrum; only that gain is checked here.  ``rng`` is a
-    ``numpy.random.Generator``; a fallback consumes exactly the draws it tries.
+    spectrum; only that gain is checked here.  The fallback draws
+    ``standard_normal((2, 2n, 2n))`` once from ``rng`` (see :func:`_place`).
     """
     try:
         return lqr(sys, rtol=rtol).gain
     except (RiccatiError, PlacementError):
         gamma = _mirror_spectrum(sys.spectrum().values, sys.domain)
         a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
-        gain = Bimatrix.from_real_representation(_place(a_r, b_r, gamma, _rng(rng)))
+        gain = Bimatrix.from_real_representation(_place(a_r, b_r, gamma, rng))
     if not is_asymptotically_stable(closed_loop(sys, gain)):
         raise PlacementError("stabilization produced an unstable closed loop")
     return gain
@@ -743,8 +686,8 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
     The error dynamics are ``e+ = ({A} + {L}{C}) e``; the gain is obtained by
     placing ``gamma`` on the transposed real representation and transposing
     back.  ``gamma`` needs ``2n`` conjugate-closed values strictly inside the
-    stable region.  ``rng`` is a ``numpy.random.Generator``; a call consumes
-    exactly the draws it tries.
+    stable region.  ``rng`` gives one ``standard_normal((2, 2n, 2n))`` draw
+    to :func:`_place`.
     """
     gamma = _as_spectrum(gamma, sys.n, "observer")
     if np.any(_bad_region_mask(gamma.values, sys.domain)):
@@ -756,7 +699,7 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
             "system is not observable; cannot place the error spectrum exactly"
         )
     a_r, c_r = sys.a.real_representation(), sys.c.real_representation()
-    k_dual = _place(a_r.T, c_r.T, gamma.values, _rng(rng))
+    k_dual = _place(a_r.T, c_r.T, gamma.values, rng)
     l_real = k_dual.T
     gain = Bimatrix.from_real_representation(l_real)
     achieved = (sys.a + gain @ sys.c).eigenvalues()

@@ -377,6 +377,17 @@ def multiset_close(got, want, rtol=1e-8):
     return len(got) == 0
 
 
+def spectrum_mismatch_loop(got, want):
+    """Greedy matching distance by a pool loop: each ``want`` value in turn
+    pops its nearest remaining ``got`` value, the first on a tie."""
+    got = list(np.asarray(got, dtype=complex))
+    dists = []
+    for w in np.asarray(want, dtype=complex):
+        j = min(range(len(got)), key=lambda i: abs(got[i] - w))
+        dists.append(abs(got.pop(j) - w) / (1.0 + abs(w)))
+    return float(np.max(dists, initial=0.0))
+
+
 def kron_lyapunov(a, w, continuous):
     """Lyapunov/Stein solution by the paper-formula Kronecker vectorization.
 
@@ -394,24 +405,3 @@ def kron_lyapunov(a, w, continuous):
         op = np.kron(a.T, ah) - np.eye(n * n)
     vec_p = np.linalg.solve(op, -np.asarray(w).flatten(order="F"))
     return vec_p.reshape((n, n), order="F")
-
-
-def real_spectrum_matrix_loop(values, rtol=1e-8):
-    """Real block-diagonal matrix with a conjugate-closed spectrum, by a pool loop.
-
-    Values are taken in ``(Re, |Im|, Im)`` order; each non-real one pops the
-    nearest remaining value to its conjugate, within ``rtol * max(1, |v|)``.
-    """
-    pool = sorted(np.asarray(values, dtype=complex), key=lambda v: (v.real, abs(v.imag), v.imag))
-    blocks = []
-    while pool:
-        v = pool.pop(0)
-        tol = rtol * max(1.0, abs(v))
-        if abs(v.imag) <= tol:
-            blocks.append(np.array([[v.real]]))
-            continue
-        j = min(range(len(pool)), key=lambda i: abs(pool[i] - np.conj(v)))
-        if abs(pool.pop(j) - np.conj(v)) > tol:
-            raise ValueError("spectrum is not closed under conjugation")
-        blocks.append(np.array([[v.real, abs(v.imag)], [-abs(v.imag), v.real]]))
-    return scipy.linalg.block_diag(*blocks)

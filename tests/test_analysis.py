@@ -655,6 +655,19 @@ class TestLyapunov:
         with pytest.raises(NoUniqueSolutionError, match="eigenvalue pair"):
             solve_lyapunov(sysm, Bimatrix.identity(2))
 
+    @pytest.mark.parametrize("domain", ["discrete", "continuous"])
+    def test_singular_in_float64_raises_no_unique_solution(self, domain):
+        # eigenvalues 0.54 and -1.9 pass the gap precheck, but the Kronecker
+        # system of this non-normal matrix is singular in float64
+        x = y = 1e8
+        w = -1.365 - x
+        a = np.array([[x, y], [(x * w - 0.0845) / y, w]])
+        sysm = make_normal(a, np.ones((2, 1)), np.eye(2), domain=domain)
+        with pytest.raises(NoUniqueSolutionError):
+            solve_lyapunov(sysm)
+        with pytest.raises(NoUniqueSolutionError):
+            solve_lyapunov_real(a, np.eye(2), domain == "continuous")
+
 
 class TestAntilinearLyapunovReduced:
     def test_scalar_golden(self):

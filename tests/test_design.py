@@ -34,7 +34,7 @@ from bimatrix import (
 import bimatrix.core as core_module
 import bimatrix.design as design_module
 from bimatrix.core import _spectrum_mismatch
-from bimatrix.design import PLACEMENT_RTOL, _place, _real_spectrum_matrix
+from bimatrix.design import PLACEMENT_RTOL, _mirror_spectrum, _place
 from bimatrix.exceptions import (
     DimensionError,
     NotControllableError,
@@ -54,7 +54,6 @@ from helpers import (
     rand_system,
     rand_unstabilizable_antilinear,
     rand_unstabilizable_system,
-    real_spectrum_matrix_loop,
 )
 
 
@@ -133,7 +132,7 @@ class TestAssignEigenvalues:
         def no_draw(*args):
             raise AssertionError("placement ran on a non-finite target")
 
-        monkeypatch.setattr(design_module, "_place_once", no_draw)
+        monkeypatch.setattr(design_module, "_place", no_draw)
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         one_state = make_normal([[0.5]], [[1.0]], [[1.0]], domain="discrete")
@@ -144,17 +143,6 @@ class TestAssignEigenvalues:
         with pytest.raises(SpectrumError):
             assign_eigenvalues_normal(_example_normal_system(), [-1.0, bad], rng=rng)
         assert rng.bit_generator.state == state
-
-    def test_real_target_blocks_match_the_pool_loop(self, rng):
-        # shuffled real values and conjugate pairs, some repeated
-        for _ in range(200):
-            vals = []
-            for _ in range(int(rng.integers(1, 7))):
-                v = complex(rng.normal(), rng.normal() if rng.random() < 0.7 else 0.0)
-                vals += ([v, np.conj(v)] if v.imag else [v]) * int(rng.integers(1, 3))
-            vals = rng.permutation(vals)
-            got = _real_spectrum_matrix(vals)
-            assert got.tobytes() == real_spectrum_matrix_loop(vals).tobytes()
 
     def test_near_conjugate_pair_refused_like_spectrum_set(self, rng):
         # 1.3e-8 apart at |v| ~ 0.71, outside CONJ_PAIR_RTOL * max(1, |v|) = 1e-8
@@ -211,151 +199,162 @@ class TestAssignNormal:
             assign_eigenvalues_normal(sysm, [-1.0], rng=rng)
 
 
-class TestPlacementSylvesterSolve:
-    """``_block_sylvester`` against Bartels-Stewart on well-separated spectra."""
-
-    @staticmethod
-    def _real_problem(rng, n, pairs):
-        # the spectrum of a lies near the disc |s - 3| <= 1, the targets in -3 <= Re s <= -1
-        a = rng.standard_normal((n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
-        vals = [complex(-1.0 - 2.0 * rng.random(), 0.5 + rng.random()) for _ in range(pairs)]
-        vals = [v for z in vals for v in (z, z.conjugate())]
-        vals += [complex(-1.0 - 2.0 * rng.random()) for _ in range(n - 2 * pairs)]
-        return a, _real_spectrum_matrix(rng.permutation(vals))
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
-    def test_real_blocks_match_solve_sylvester(self, rng, n):
-        for pairs in sorted({0, n // 4, n // 2}):
-            a, lam = self._real_problem(rng, n, pairs)
-            assert np.count_nonzero(np.diag(lam, 1)) == pairs
-            c = rng.standard_normal((n, n))
-            x = design_module._block_sylvester(a, lam)(c)
-            want = scipy.linalg.solve_sylvester(a, -lam, c)
-            assert x.dtype == float
-            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
-    def test_complex_diagonal_matches_solve_sylvester(self, rng, n):
-        a = rand_cmatrix(rng, n, n, 1.0 / np.sqrt(n)) + 3.0 * np.eye(n)
-        lam = np.diag(-1.0 - 2.0 * rng.random(n) + 1j * rng.standard_normal(n))
-        c = rand_cmatrix(rng, n, n)
-        x = design_module._block_sylvester(a, lam)(c)
-        want = scipy.linalg.solve_sylvester(a, -lam, c)
-        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
-    def test_real_blocks_stacked_equal_single_solves(self, rng, n):
-        # a stack of 20 right-hand sides shares one LU per shift, bit for bit
-        a, lam = self._real_problem(rng, n, n // 4)
-        c = rng.standard_normal((20, n, n))
-        solve = design_module._block_sylvester(a, lam)
-        x = solve(c)
-        assert x.shape == c.shape and x.dtype == float
-        assert all(np.array_equal(x[i], solve(c[i])) for i in range(20))
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 16, 32])
-    def test_complex_diagonal_stacked_equal_single_solves(self, rng, n):
-        a = rand_cmatrix(rng, n, n, 1.0 / np.sqrt(n)) + 3.0 * np.eye(n)
-        lam = np.diag(-1.0 - 2.0 * rng.random(n) + 1j * rng.standard_normal(n))
-        c = rand_cmatrix(rng, 20 * n, n).reshape(20, n, n)
-        solve = design_module._block_sylvester(a, lam)
-        x = solve(c)
-        assert x.shape == c.shape
-        assert all(np.array_equal(x[i], solve(c[i])) for i in range(20))
-
-    @pytest.mark.parametrize(
-        "a, lam",
-        [(np.diag([1.0, 2.0]), np.diag([1.0, -3.0])),
-         (np.array([[1.0, 2.0], [-2.0, 1.0]]), np.array([[1.0, 2.0], [-2.0, 1.0]])),
-         (np.diag([1.0 + 1.0j, 2.0]), np.diag([-1.0, 1.0 + 1.0j]))],
-    )
-    def test_exactly_singular_shift_skips_every_draw(self, rng, a, lam):
-        with pytest.raises(np.linalg.LinAlgError):
-            design_module._block_sylvester(a, lam)(np.ones((2, 2)))
-        targets = np.linalg.eigvals(lam)
-        with pytest.raises(PlacementError, match="20 parameter draws"):
-            design_module._place_once(a, np.ones((2, 1)), lam, targets, rng)
-
-
-def _sequential_place(a, b, targets, rng):
-    """The draw loop one ``G`` at a time, on real data: ``(gain or None, draws)``."""
-    sylvester = design_module._block_sylvester(a, _real_spectrum_matrix(targets))
-    for draws in range(1, design_module.PLACEMENT_DRAWS + 1):
-        g = rng.standard_normal((b.shape[1], a.shape[0]))
-        x = sylvester(-b @ g)
-        sv = np.linalg.svd(x, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            continue
-        k = np.linalg.solve(x.T, g.T).T
-        if _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets) <= PLACEMENT_RTOL:
-            return k, draws
-    return None, design_module.PLACEMENT_DRAWS
-
-
-def _raw_discrete_plant(seed, n):
-    """Unit-Gaussian discrete plant, m = p = 1, and stable targets for it."""
+def _raw_discrete_plant(seed, n, m=1):
+    """Unit-Gaussian discrete plant, p = 1, and stable targets for it."""
     rng = np.random.default_rng(seed)
-    sysm = rand_system(rng, n, 1, 1, TimeDomain.DISCRETE)
+    sysm = rand_system(rng, n, m, 1, TimeDomain.DISCRETE)
     return sysm, rand_stable_spectrum(rng, 2 * n, TimeDomain.DISCRETE)
 
 
-class TestPlacementDraws:
-    """Draw 1 alone, draws 2-20 as one stack: same gain, same generator state."""
+def _eigenvector_condition(acl):
+    """2-norm condition number of the unit-column eigenvector matrix of ``acl``."""
+    v = np.linalg.eig(acl)[1]
+    return np.linalg.cond(v / np.linalg.norm(v, axis=0))
 
-    # (plant seed, draws the sequential loop uses): raw n = 8 plants whose
-    # first draw is rejected, and raw n = 16 plants that decline after 20
-    CASES = [(1, 8, 2), (3, 8, 3), (14, 8, 11), (17, 8, 19), (0, 16, 20), (1, 16, 20)]
 
-    @pytest.mark.parametrize("seed, n, draws", CASES)
-    def test_generator_left_where_sequential_draws_leave_it(self, seed, n, draws):
-        sysm, gamma = _raw_discrete_plant(seed, n)
-        a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
-        want, used = _sequential_place(a_r, b_r, gamma, np.random.default_rng(7))
-        assert used == draws
+class TestPlacementKNV:
+    """``_place``: eigenvector columns from null spaces, one draw, sweeps only after a miss."""
+
+    @pytest.mark.parametrize("seed, n, m", [(0, 1, 1), (1, 2, 2), (2, 8, 1), (3, 8, 2),
+                                            (0, 16, 1), (1, 16, 2)])
+    def test_generator_ends_one_draw_on(self, seed, n, m):
+        # raw n = 16, m = 1 declines; a call draws the same either way
+        sysm, gamma = _raw_discrete_plant(seed, n, m)
         rng = np.random.default_rng(7)
-        if want is None:
-            with pytest.raises(PlacementError, match="20 parameter draws"):
-                assign_eigenvalues(sysm, gamma, rng=rng)
-        else:
-            gain = assign_eigenvalues(sysm, gamma, rng=rng)
-            want = Bimatrix.from_real_representation(want)
-            assert np.array_equal(gain.first, want.first)
-            assert np.array_equal(gain.second, want.second)
+        try:
+            assign_eigenvalues(sysm, gamma, rng=rng)
+        except PlacementError:
+            assert (n, m) == (16, 1)
         ref = np.random.default_rng(7)
-        ref.standard_normal((draws, b_r.shape[1], a_r.shape[0]))
+        ref.standard_normal((2, 2 * n, 2 * n))  # the real representation has order 2n
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_complex_data_rewinds_both_parts_of_each_draw(self):
-        # a complex normal plant whose first draw is rejected and second accepted
-        rng = np.random.default_rng(97)
-        n = 8
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_complex_data_draw_once(self, n):
+        rng = np.random.default_rng(n)
         a1, b1, c1 = rand_cmatrix(rng, n, n), rand_cmatrix(rng, n, 1), rand_cmatrix(rng, 1, n)
         poles = rng.uniform(0.2, 0.8, n) * np.exp(1j * rng.uniform(0, 6.28, n))
-        sysm = make_normal(a1, b1, c1, domain="discrete")
         rng = np.random.default_rng(7)
-        gain = assign_eigenvalues_normal(sysm, poles, rng=rng)
+        gain = assign_eigenvalues_normal(make_normal(a1, b1, c1, domain="discrete"), poles, rng=rng)
         assert multiset_close(np.linalg.eigvals(a1 + b1 @ gain.first), poles, rtol=1e-6)
         ref = np.random.default_rng(7)
-        ref.standard_normal((2, 2, 1, n))  # two draws, real then imaginary part
+        ref.standard_normal((2, n, n))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("seed, n, stack_solves", [(1, 8, 2), (0, 16, 2), (2, 4, 1)])
-    def test_shifted_stack_factored_at_most_twice(self, monkeypatch, seed, n, stack_solves):
-        solves = []
-        solve = np.linalg.solve
+    @pytest.mark.parametrize("seed, n, m, sweeps", [(0, 2, 1, 0), (3, 8, 2, 0), (0, 16, 1, 2)])
+    def test_sweeps_only_after_a_miss(self, monkeypatch, seed, n, m, sweeps):
+        # each sweep inverts X once; a first check that passes runs none
+        counts = {"inv": 0}
+        inv = np.linalg.inv
 
-        def counting(a, b):
-            solves.append(np.ndim(a))
-            return solve(a, b)
+        def counted(x):
+            counts["inv"] += 1
+            return inv(x)
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
-        sysm, gamma = _raw_discrete_plant(seed, n)
-        if n == 16:  # declines after 20 draws
-            with pytest.raises(PlacementError):
-                assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
-        else:
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        sysm, gamma = _raw_discrete_plant(seed, n, m)
+        try:
             assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
-        assert solves.count(3) == stack_solves
+        except PlacementError:
+            assert sweeps == design_module.PLACEMENT_SWEEPS
+        assert counts["inv"] == sweeps
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_targets_on_the_open_loop_spectrum(self, seed, domain):
+        # a conjugate-coupled plant: its own spectrum, then the mirrored one,
+        # which keeps every open-loop eigenvalue in the stable region
+        rng = np.random.default_rng(seed)
+        sysm = rand_controllable_system(rng, 3, 1, 1, domain)
+        assert np.linalg.norm(sysm.a.second) > 0.1
+        a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
+        open_loop = sysm.spectrum().values
+        mirrored = _mirror_spectrum(open_loop, domain)
+        for targets in (open_loop, mirrored):
+            k = _place(a_r, b_r, targets, rng)
+            assert _spectrum_mismatch(np.linalg.eigvals(a_r + b_r @ k), targets) <= PLACEMENT_RTOL
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_stabilize_fallback_places_the_mirrored_spectrum(self, monkeypatch, domain):
+        def failed(*args, **kwargs):
+            raise RiccatiError("forced")
+
+        monkeypatch.setattr(design_module, "lqr", failed)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            sysm = rand_controllable_system(rng, 3, 1, 1, domain)
+            gain = stabilize(sysm, rng=rng)
+            want = _mirror_spectrum(sysm.spectrum().values, domain)
+            assert closed_loop(sysm, gain).spectrum().matches(want, rtol=PLACEMENT_RTOL)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_repeated_input_pair_with_real_b(self, rng, domain, m):
+        # B = {b, b} with real b acts through 2 Re(u) only: its real
+        # representation has rank m, not 2m
+        n = 3
+        b = rng.standard_normal((n, m))
+        sysm = CxSystem(Bimatrix(rand_cmatrix(rng, n, n), rand_cmatrix(rng, n, n)), Bimatrix(b, b),
+                        Bimatrix.identity(n), Bimatrix.zeros(n, m), domain)
+        assert np.linalg.matrix_rank(sysm.b.real_representation()) == m
+        gamma = rand_stable_spectrum(rng, 2 * n, domain)
+        gain = assign_eigenvalues(sysm, gamma, rng=rng)
+        assert closed_loop(sysm, gain).spectrum().matches(gamma, rtol=PLACEMENT_RTOL)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 6, 9, 11, 12, 13])
+    def test_raw_discrete_n16_m2_placed(self, seed):
+        # 20 random Sylvester draws declined each of these plants
+        sysm, gamma = _raw_discrete_plant(seed, 16, 2)
+        gamma = SpectrumSet(gamma).values  # in the order assign_eigenvalues passes them
+        a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
+        k = _place(a_r, b_r, gamma, np.random.default_rng(7))
+        assert _spectrum_mismatch(np.linalg.eigvals(a_r + b_r @ k), gamma) <= PLACEMENT_RTOL
+        assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_raw_discrete_n16_m1_declines_in_one_line(self, seed):
+        sysm, gamma = _raw_discrete_plant(seed, 16, 1)
+        sweeps = design_module.PLACEMENT_SWEEPS
+        with pytest.raises(PlacementError, match=f"after {sweeps} sweeps") as info:
+            assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("b", [np.zeros((2, 1)), np.zeros((2, 2), dtype=complex),
+                                   np.zeros((2, 0))])
+    def test_singular_start_raises_placement_error(self, b):
+        # with no input every null space is empty, so X starts as zero
+        a = np.array([[0.0, 1.0], [-2.0, -3.0]], dtype=b.dtype)
+        with pytest.raises(PlacementError, match="X is singular"):
+            _place(a, b, np.array([-1.0, -4.0]), np.random.default_rng(7))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind, n, m", [("pair", 2, 1), ("real", 3, 2), ("real", 4, 2),
+                                            ("real", 4, 3)])
+    def test_sweeps_reach_yt_conditioning(self, monkeypatch, seed, kind, n, m):
+        # reference: scipy's Tits-Yang placement.  Every check but the last
+        # is made to miss, so the gain comes after PLACEMENT_SWEEPS sweeps.
+        import scipy.signal
+
+        checks = []
+
+        def missing(got, want):
+            checks.append(None)
+            if len(checks) <= design_module.PLACEMENT_SWEEPS:
+                return np.inf
+            return _spectrum_mismatch(got, want)
+
+        monkeypatch.setattr(design_module, "_spectrum_mismatch", missing)
+        rng = np.random.default_rng(seed)
+        if kind == "pair":
+            sysm = rand_system(rng, n, m, 1, TimeDomain.CONTINUOUS)
+            a, b = sysm.a.real_representation(), sysm.b.real_representation()
+        else:
+            a, b = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        gamma = rand_stable_spectrum(rng, a.shape[0], TimeDomain.CONTINUOUS)
+        k = _place(a, b, gamma, np.random.default_rng(7))
+        yt = scipy.signal.place_poles(a, b, gamma, method="YT")
+        ratio = _eigenvector_condition(a + b @ k) / _eigenvector_condition(a - b @ yt.gain_matrix)
+        assert ratio <= 10.0
 
 
 class TestClosedLoop:
