@@ -516,19 +516,12 @@ def _spectrum_mismatch(got, want):
     Each value of ``want`` in turn takes its nearest remaining value of
     ``got`` (greedy matching); ``got`` needs at least as many values.
     """
-    want = np.asarray(want, dtype=complex).reshape(-1)
-    diff = want[:, None] - np.asarray(got, dtype=complex).reshape(-1)
-    dist = np.hypot(diff.real, diff.imag)  # the rounding of Python's abs
-    nearest = dist.argmin(axis=1).tolist() if want.size else []
-    if len(set(nearest)) == len(nearest):  # no two values want the same one
-        picked = dist[range(len(nearest)), nearest]
-    else:
-        picked = np.empty(want.size)
-        for i, row in enumerate(dist):
-            j = row.argmin()
-            picked[i] = row[j]
-            dist[:, j] = np.inf
-    return float(np.max(picked / (1.0 + np.hypot(want.real, want.imag)), initial=0.0))
+    got = list(np.asarray(got, dtype=complex))
+    dists = []
+    for w in np.asarray(want, dtype=complex):
+        j = min(range(len(got)), key=lambda i: abs(got[i] - w))
+        dists.append(abs(got.pop(j) - w) / (1.0 + abs(w)))
+    return float(np.max(dists, initial=0.0))
 
 
 def conjugate_complete(values):

@@ -128,16 +128,28 @@ def _place(a, b, targets, rng):
     u, s, vh = np.linalg.svd(b)
     r = int(np.count_nonzero(s > max(n, m) * np.finfo(float).eps * s.max(initial=0.0)))
     g = (np.random.default_rng(DEFAULT_SEED) if rng is None else rng).standard_normal((2, n, n))
-    z = np.linalg.qr(g[0] + 1j * g[1] if complex_data else g[0], mode="complete")[0]
-    z = z if complex_data else np.hstack([z[:, :p], z[:, p:p + q] + 1j * z[:, p + q:]])
-    bases = [np.linalg.qr(a.conj().T @ u[:, r:] - np.conj(lam)[:, None, None] * u[:, r:],
-                          mode="complete")[0][..., n - r:] if lam.size else np.empty((0, n, r))
-             for lam in (real, pairs)]
-    x = np.hstack([np.einsum("kij,kj->ik", basis, np.einsum("kji,jk->ki", basis.conj(), zs))
-                   for basis, zs in zip(bases, (z[:, :p], z[:, p:]))]).astype(complex)
-    if not complex_data:
-        x, pairs = np.hstack([x, x[:, p:].conj()]), np.concatenate([pairs, pairs.conj()])
-    lam, bases = np.concatenate([real, pairs]), [*bases[0], *bases[1]]
+    if complex_data:
+        z = np.linalg.qr(g[0] + 1j * g[1], mode="complete")[0]
+    else:
+        z = np.linalg.qr(g[0], mode="complete")[0]
+        z = np.hstack([z[:, :p], z[:, p:p + q] + 1j * z[:, p + q:]])
+    # One batch of complete QRs per shift kind; S_lam is the last r columns.
+    u1 = u[:, r:]
+    a_u1 = a.conj().T @ u1
+    real_bases = np.linalg.qr(a_u1 - real[:, None, None] * u1, mode="complete")[0]
+    real_bases = real_bases[..., n - r:]
+    pair_bases = np.linalg.qr(a_u1 - pairs.conj()[:, None, None] * u1, mode="complete")[0]
+    pair_bases = pair_bases[..., n - r:]
+    # Column k of X starts as the projection of column k of z onto its S_lam.
+    starts = z.T[:, :, None]
+    x_real = real_bases @ (real_bases.conj().transpose(0, 2, 1) @ starts[:p])
+    x_pair = pair_bases @ (pair_bases.conj().transpose(0, 2, 1) @ starts[p:])
+    x = np.hstack([x_real[..., 0].T, x_pair[..., 0].T]).astype(complex)
+    if not complex_data:  # each pair's partner takes the conjugate column
+        x = np.hstack([x, x_pair[..., 0].T.conj()])
+        pairs = np.concatenate([pairs, pairs.conj()])
+    lam = np.concatenate([real, pairs])
+    bases = [*real_bases, *pair_bases]
 
     for sweep in range(PLACEMENT_SWEEPS + 1):
         if sweep:  # unit columns; x_inv follows each move by a Woodbury update
@@ -201,14 +213,17 @@ def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
     SpectrumError
         If ``gamma`` has the wrong size, a non-finite value, or is not conjugate-closed.
     PlacementError
-        If the closed loop misses ``gamma`` after the last sweep of :func:`_place`.
+        If the closed loop misses ``gamma`` after the last sweep of :func:`_place`,
+        or the gain folded into a pair misses it by more than ``PLACEMENT_RTOL``.
     """
     gamma = _as_spectrum(gamma, sys.n, "system")
     if not is_controllable(sys, rtol):
         raise NotControllableError("system is not controllable; cannot assign spectrum")
     a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
-    k = _place(a_r, b_r, gamma.values, rng)
-    return Bimatrix.from_real_representation(k)
+    gain = Bimatrix.from_real_representation(_place(a_r, b_r, gamma.values, rng))
+    if not (sys.a + sys.b @ gain).eigenvalues().matches(gamma, rtol=PLACEMENT_RTOL):
+        raise PlacementError("closed-loop spectrum verification failed")
+    return gain
 
 
 def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):

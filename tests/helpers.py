@@ -377,17 +377,6 @@ def multiset_close(got, want, rtol=1e-8):
     return len(got) == 0
 
 
-def spectrum_mismatch_loop(got, want):
-    """Greedy matching distance by a pool loop: each ``want`` value in turn
-    pops its nearest remaining ``got`` value, the first on a tie."""
-    got = list(np.asarray(got, dtype=complex))
-    dists = []
-    for w in np.asarray(want, dtype=complex):
-        j = min(range(len(got)), key=lambda i: abs(got[i] - w))
-        dists.append(abs(got.pop(j) - w) / (1.0 + abs(w)))
-    return float(np.max(dists, initial=0.0))
-
-
 def kron_lyapunov(a, w, continuous):
     """Lyapunov/Stein solution by the paper-formula Kronecker vectorization.
 

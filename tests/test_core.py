@@ -38,7 +38,6 @@ from helpers import (
     power_by_squaring,
     rand_bimatrix,
     rand_cmatrix,
-    spectrum_mismatch_loop,
 )
 
 
@@ -592,22 +591,6 @@ class TestSpectrumSet:
             assert got is expected, name
             if len(other) == len(vals):
                 assert got == (_spectrum_mismatch(other, vals) <= rtol), name
-
-    @pytest.mark.parametrize("decimals", [0, 1, 8])
-    def test_mismatch_equals_the_pool_loop(self, rng, decimals):
-        # rounded values make exact ties; extra got values, NaN and empty sets too
-        for _ in range(300):
-            n = int(rng.integers(0, 9))
-            want = np.round(rng.normal(size=n) + 1j * rng.normal(size=n), decimals)
-            k = n + int(rng.integers(0, 3))
-            got = np.round(rng.normal(size=k) + 1j * rng.normal(size=k), decimals)
-            if rng.uniform() < 0.4:
-                got[:n] = want + 1e-9 * rng.normal(size=n)
-            if n and rng.uniform() < 0.1:
-                want[int(rng.integers(n))] = np.nan
-            got = rng.permutation(got)
-            ref = spectrum_mismatch_loop(got, want)
-            assert np.array_equal(_spectrum_mismatch(got, want), ref, equal_nan=True)
 
 
 def _spectrum_case(rng, kind):

@@ -309,7 +309,8 @@ class TestPlacementKNV:
         a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
         k = _place(a_r, b_r, gamma, np.random.default_rng(7))
         assert _spectrum_mismatch(np.linalg.eigvals(a_r + b_r @ k), gamma) <= PLACEMENT_RTOL
-        assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+        gain = assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+        assert closed_loop(sysm, gain).spectrum().matches(SpectrumSet(gamma), rtol=PLACEMENT_RTOL)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_raw_discrete_n16_m1_declines_in_one_line(self, seed):
@@ -376,6 +377,16 @@ class TestClosedLoop:
         gamma = rand_stable_spectrum(rng, 4, TimeDomain.DISCRETE)
         gain = assign_eigenvalues(sysm, gamma, rng=rng)
         assert closed_loop(sysm, gain).spectrum().matches(gamma, rtol=1e-6)
+
+    def test_folded_gain_checked_against_gamma(self, monkeypatch, rng):
+        # a real-representation gain that passed _place's check but whose pair
+        # form misses gamma is refused, not returned
+        place = design_module._place
+        monkeypatch.setattr(design_module, "_place", lambda *args: place(*args) + 1e-3)
+        sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
+        gamma = rand_stable_spectrum(rng, 4, TimeDomain.DISCRETE)
+        with pytest.raises(PlacementError, match="verification failed"):
+            assign_eigenvalues(sysm, gamma, rng=rng)
 
 
 class TestStabilize:
