@@ -522,9 +522,11 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
     the horizon and no step is longer than ``dt``.  The states come from the
     propagation kernel of :func:`state_response` on the real representation,
     in blocks of at most ``COST_BLOCK_STEPS`` steps, so memory stays
-    bounded; each block's stage costs
+    bounded; the kernel's blocked scan matches a per-step sum to roundoff,
+    not bit for bit.  Each block's stage costs
     ``x_r' Q_r x_r + u_r' R_r u_r`` with ``u_r = K_r x_r`` are one
-    ``einsum``.  The sum never touches a Riccati solution.
+    ``einsum``.  The sum never touches a Riccati solution; only continuous
+    time loads SciPy.
 
     An unstable closed loop yields a truncated, diverging partial sum and a
     ``RuntimeWarning``; a state that overflows raises ``ValueError``.  A
@@ -534,8 +536,6 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
     is negative or not finite, a ``dt`` that is not positive and finite,
     and a grid of more than ``MAX_GRID_STEPS`` steps.
     """
-    import scipy.linalg
-
     cl = closed_loop(sys, gain)
     _check_weight_shapes(sys, weights)
     x0 = as_cvector(x0, "x0")
@@ -561,7 +561,11 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
         )
     x = arrow(x0)
     a_r = cl.a.real_representation()
-    ad = scipy.linalg.expm(float(dt) * a_r) if continuous else a_r
+    ad = a_r
+    if continuous:
+        import scipy.linalg
+
+        ad = scipy.linalg.expm(float(dt) * a_r)
     k_r = gain.real_representation()
     zero = np.zeros((2 * sys.n, 2 * sys.m))
     # stage cost z' W z of z = (x_r, K_r x_r)

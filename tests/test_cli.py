@@ -441,17 +441,27 @@ print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), fi
 """
 
 
+# Runs lqr_cost on a stable first-order loop in the domain named by argv[1].
+_LQR_COST_PROBE = """
+import sys
+from bimatrix import Bimatrix, WeightPair, lqr_cost, make_normal
+sysm = make_normal([[-0.5]], [[1.0]], [[1.0]], domain=sys.argv[1])
+lqr_cost(sysm, WeightPair.identity(1, 1), Bimatrix.zeros(1, 1), [1.0], 20.0, 0.5)
+print(0, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
 class TestScipyLoadedOnlyWhereCalled:
     """Each case runs in a fresh interpreter: this one already has SciPy loaded."""
 
     @staticmethod
-    def _scipy_modules(workdir, argv):
-        """SciPy modules loaded after ``main(argv)``, or after the import alone."""
+    def _scipy_modules(workdir, argv, probe=_SCIPY_PROBE):
+        """SciPy modules loaded after ``main(argv)`` (or ``probe``), or after the import alone."""
         import bimatrix
 
         src = os.path.dirname(os.path.dirname(bimatrix.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=workdir,
+            [sys.executable, "-c", probe, *argv], cwd=workdir,
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=120,
         )
@@ -487,6 +497,12 @@ class TestScipyLoadedOnlyWhereCalled:
         path = _example_system_file(workdir / "sys.json")
         argv = ["lqr", path, "--out", "report.json"]
         assert "scipy.linalg" in self._scipy_modules(workdir, argv)
+
+    def test_only_continuous_lqr_cost_loads_scipy(self, workdir):
+        # continuous time needs SciPy's exponential for its one-step matrix
+        assert self._scipy_modules(workdir, ["discrete"], _LQR_COST_PROBE) == "[]"
+        loaded = self._scipy_modules(workdir, ["continuous"], _LQR_COST_PROBE)
+        assert "scipy.linalg" in loaded
 
 
 class TestSeedHandling:

@@ -5,6 +5,7 @@ Each array-at-a-time path is checked against the per-sample loop it replaces
 """
 
 import io
+import itertools
 import math
 import warnings
 
@@ -14,9 +15,11 @@ import scipy.linalg
 
 from bimatrix import (
     Bimatrix,
+    CxSystem,
     HermiteBimatrix,
     TimeDomain,
     WeightPair,
+    arrow,
     closed_loop,
     is_positive_definite,
     lqr,
@@ -30,6 +33,7 @@ from bimatrix.analysis import CSV_BLOCK_ROWS, _write_trace_csv
 
 from helpers import (
     lqr_cost_loop,
+    rand_bimatrix,
     rand_cmatrix,
     rand_controllable_system,
     rand_system,
@@ -101,6 +105,119 @@ class TestStateResponseAgainstLoop:
         monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or real_expm(a))
         state_response(sysm, [1.0, 0.0], times)
         assert len(calls) == 1
+
+
+# Block lengths isqrt(steps) of 1 (the loop), 6, 7 and 63, with a short last block.
+SCAN_STEPS = (0, 1, 2, 3, 48, 49, 50, 4000)
+# The non-normal plant's bound against the pair-form loop, which is itself
+# 5.4e-11 off a long-double recursion there (the scan: 6.3e-11 from the loop).
+# A scan without the correction sweep misses it by 1000x, one whose sweep
+# multiplies the starts themselves by the jump (not their change) by 25x, and
+# one with the jump from repeated squaring by 65x.
+NON_NORMAL_RTOL = 2e-10
+
+
+def _regulated_plant(n, domain):
+    """A controllable plant, its lqr gain, the closed loop and a start state."""
+    rng = np.random.default_rng([n, domain is TimeDomain.DISCRETE, 17])
+    sysm = rand_controllable_system(rng, n, 2, 1, domain, scale=0.7)
+    gain = lqr(sysm).gain
+    return sysm, gain, closed_loop(sysm, gain), rand_cmatrix(rng, n, 1).ravel(), rng
+
+
+def _non_normal_plant():
+    """Discrete n = 8 plant with state matrix ``Q T Q^T``, ``|Ad|_2 / rho`` about 12.
+
+    ``T`` has 2x2 rotation blocks of radius at most 0.995 on its diagonal and
+    Gaussian entries of standard deviation 2 above them.
+    """
+    rng = np.random.default_rng(1)
+    t = 2.0 * np.triu(rng.standard_normal((16, 16)), 1)
+    for k in range(0, 16, 2):
+        r, th = 0.995 if k == 0 else rng.uniform(0.9, 0.995), rng.uniform(0.1, 3.0)
+        t[k:k + 2, k:k + 2] = r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+    a = Bimatrix.from_real_representation(q @ t @ q.T)
+    sysm = CxSystem(a, rand_bimatrix(rng, 8, 1), rand_bimatrix(rng, 1, 8),
+                    rand_bimatrix(rng, 1, 1), "discrete")
+    rep = a.real_representation()
+    rho = float(np.max(np.abs(np.linalg.eigvals(rep))))
+    assert 0.99 <= rho < 1.0 and np.linalg.norm(rep, 2) >= 10.0 * rho
+    return sysm, rand_cmatrix(rng, 8, 1).ravel(), rand_cmatrix(rng, 4001, 1)
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("steps", SCAN_STEPS)
+    @pytest.mark.parametrize("n", (1, 2, 8))
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_state_response_agrees_with_the_loop(self, domain, n, steps):
+        _, _, cl, x0, rng = _regulated_plant(n, domain)
+        times = np.arange(steps + 1) * (2.0**-7 if domain.is_continuous else 1.0)
+        u = rand_cmatrix(rng, steps + 1, cl.m)
+        trace = state_response(cl, x0, times, u)
+        states, outputs = state_response_loop(cl, x0, times, u)
+        assert _rel_err(trace.states, states) <= 1e-12
+        assert _rel_err(trace.outputs, outputs) <= 1e-12
+
+    @pytest.mark.parametrize("steps", SCAN_STEPS)
+    @pytest.mark.parametrize("n", (1, 2, 8))
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_lqr_cost_agrees_with_the_loop(self, domain, n, steps):
+        sysm, gain, cl, x0, _ = _regulated_plant(n, domain)
+        weights = WeightPair.identity(n, sysm.m)
+        dt = 2.0**-7 if domain.is_continuous else None
+        got = lqr_cost(sysm, weights, gain, x0, steps * (dt or 1.0), dt)
+        want = lqr_cost_loop(cl, weights, gain, x0, steps, dt)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_non_normal_plant(self):
+        sysm, x0, u = _non_normal_plant()
+        times = np.arange(4001.0)
+        trace = state_response(sysm, x0, times, u)
+        states, outputs = state_response_loop(sysm, x0, times, u)
+        assert _rel_err(trace.states, states) <= NON_NORMAL_RTOL
+        assert _rel_err(trace.outputs, outputs) <= NON_NORMAL_RTOL
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_non_normal_plant_as_accurate_as_the_loop(self):
+        # both kernels against a long-double recursion of the same real system
+        sysm, x0, u = _non_normal_plant()
+        rep = sysm.real_representation()
+        xs = np.vstack([arrow(x0), arrow(u[:-1]) @ rep.b.T])
+        ref, ad = xs.astype(np.longdouble), rep.a.astype(np.longdouble)
+        for k in range(xs.shape[0] - 1):
+            ref[k + 1] += ad @ ref[k]
+        loop, scan = xs.copy(), xs.copy()
+        analysis_module._step_rows(loop, itertools.repeat(rep.a))
+        analysis_module._propagate(scan, [rep.a])
+        assert _rel_err(scan, ref) <= 3.0 * _rel_err(loop, ref)
+
+    @pytest.mark.parametrize("domain, a", [(TimeDomain.DISCRETE, 1e20),
+                                           (TimeDomain.CONTINUOUS, 400.0)])
+    def test_unexcited_unstable_mode_stays_finite(self, domain, a):
+        # |Ad|^isqrt(400) overflows; the capped block length keeps the jump
+        # finite, so the mode that is never excited stays exactly zero
+        sysm = make_normal(np.diag([a, -0.5 if domain.is_continuous else 0.5]),
+                           [[0.0], [1.0]], np.eye(2), domain=domain)
+        times = np.arange(401.0)
+        trace = state_response(sysm, [0.0, 1.0], times)
+        states, outputs = state_response_loop(sysm, [0.0, 1.0], times)
+        assert np.all(trace.states[:, 0] == 0.0)
+        assert _rel_err(trace.states, states) <= 1e-12
+        assert _rel_err(trace.outputs, outputs) <= 1e-12
+
+    def test_only_a_single_step_matrix_takes_the_scan(self, monkeypatch):
+        calls = []
+        real_scan = analysis_module._scan
+        monkeypatch.setattr(analysis_module, "_scan",
+                            lambda xs, ad: calls.append(len(xs)) or real_scan(xs, ad))
+        sysm = rand_system(np.random.default_rng(4), 2, 1, 1, TimeDomain.CONTINUOUS, scale=0.5)
+        irregular = np.concatenate([[0.0], np.cumsum(0.05 * (1.0 + 0.1 * (np.arange(40) % 3)))])
+        state_response(sysm, [1.0, 0.0], irregular)
+        assert calls == []
+        state_response(sysm, [1.0, 0.0], np.arange(41) * 2.0**-4)
+        assert calls == [41]
 
 
 class TestNonFiniteRefused:
