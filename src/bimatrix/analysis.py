@@ -238,14 +238,14 @@ def _scan(xs, ad):
     xs[1:] = forcing.reshape(-1, width)[:steps]
 
 
-def _zoh_steps(rep, steps):
-    """One-step matrices ``(Ad, Bd)`` of a real continuous system over grid steps.
+def _zoh_steps(rep, times):
+    """One-step matrices ``(Ad, Bd)`` of a real continuous system over the steps of ``times``.
 
     Returns the lists of distinct ``Ad`` and ``Bd`` and each step's index into
     them (None when there is only one), from the augmented exponential with
-    the input held over the step (zero-order hold).  Steps whose ``f"{h:.12e}"`` keys agree
-    share the pair of the first such step on the grid; each distinct step is
-    formatted and exponentiated once.
+    the input held over the step (zero-order hold).  Steps within
+    ``4 eps times[-1]`` (the error of the grid times themselves) of the smallest
+    step of their group share its pair, so each group is exponentiated once.
     """
     import scipy.linalg
 
@@ -253,17 +253,14 @@ def _zoh_steps(rep, steps):
     aug = np.zeros((n2 + m2, n2 + m2))
     aug[:n2, :n2] = rep.a
     aug[:n2, n2:] = rep.b
-    values, first, inverse = np.unique(steps, return_index=True, return_inverse=True)
-    slots, ads, bds = {}, [], []
-    slot_of = np.empty(values.size, dtype=int)
-    for i in np.argsort(first):
-        key = f"{values[i]:.12e}"
-        if key not in slots:
-            slots[key] = len(ads)
-            ex = scipy.linalg.expm(aug * values[i])
+    values, inverse = np.unique(np.diff(times), return_inverse=True)
+    ads, bds, slot_of = [], [], np.empty(values.size, dtype=int)
+    for i, h in enumerate(values):
+        if not ads or h - head > 4.0 * np.finfo(float).eps * times[-1]:
+            head, ex = h, scipy.linalg.expm(aug * h)
             ads.append(ex[:n2, :n2])
             bds.append(ex[:n2, n2:])
-        slot_of[i] = slots[key]
+        slot_of[i] = len(ads) - 1
     return ads, bds, (None if len(ads) == 1 else slot_of[inverse])
 
 
@@ -278,10 +275,10 @@ def state_response(sys, x0, times, u=None):
     piecewise-constant inputs), from the augmented-exponential construction.
     The forcing ``Bd u`` and the outputs ``C_r x + D_r u`` are one matrix
     product each over all samples, on row stacks from :func:`arrow` and
-    :func:`unarrow`.  A grid whose steps share one key (any discrete grid)
-    takes the kernel's blocked scan, which matches per-sample stepping to
-    roundoff, not bit for bit; other grids and grids under four steps are
-    stepped sample by sample.
+    :func:`unarrow`.  A grid whose steps share one pair (any discrete grid,
+    and uniform grids up to the error of their times) takes the kernel's
+    blocked scan, which matches per-sample stepping to roundoff, not bit for
+    bit; other grids and grids under four steps are stepped sample by sample.
 
     Parameters
     ----------
@@ -316,7 +313,7 @@ def state_response(sys, x0, times, u=None):
     usamp = _input_samples(u, times, sys.m)
     rep = sys.real_representation()
     if sys.domain.is_continuous:
-        ads, bds, ids = _zoh_steps(rep, np.diff(times))
+        ads, bds, ids = _zoh_steps(rep, times)
     else:
         if not np.array_equal(times, np.arange(times.size, dtype=float)):
             raise ValueError("discrete-time grid must be the consecutive integers 0..T")

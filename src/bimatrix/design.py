@@ -93,8 +93,8 @@ PLACEMENT_SWEEPS = 2
 # ---------------------------------------------------------------------------
 
 
-def _place(a, b, targets, rng):
-    """Gain K with ``spectrum(a + b K) = targets``, by Kautsky, Nichols and Van Dooren's method 0.
+def _place(a, b, targets, rng, spectrum=None):
+    """Gain K with ``spectrum(K) = targets``, by Kautsky, Nichols and Van Dooren's method 0.
 
     With ``b = [U0 U1] diag(s) V^H`` (an SVD with a rank cut), the eigenvectors
     for ``lam`` fill ``S_lam``, the null space of ``U1^H (a - lam I)``, also at
@@ -105,11 +105,13 @@ def _place(a, b, targets, rng):
     the orthogonal factor of the call's one ``rng.standard_normal((2, n, n))``
     draw (for the ``q`` pairs of real data, columns ``j`` and ``j + q`` give
     the real and imaginary part).  ``K = b^+ U0 U0^H (X Lam X^{-1} - a)``, real
-    for real data, must meet ``targets`` within ``PLACEMENT_RTOL``; after a
-    miss, each of up to ``PLACEMENT_SWEEPS`` Gauss-Seidel sweeps moves each
-    column (a pair's two at once) to the unit projection onto its ``S_lam`` of
-    that column of ``X^{-H}`` where this raises ``|det X|``, and checks again.
-    A singular ``X``, a non-finite ``K`` or a last miss raises :class:`PlacementError`.
+    for real data, must bring ``spectrum(K)`` (the eigenvalues of ``a + b K``
+    unless a caller that folds K into a pair passes its pair form) within
+    ``PLACEMENT_RTOL`` of ``targets``, the one check; after a miss, each of up
+    to ``PLACEMENT_SWEEPS`` Gauss-Seidel sweeps moves each column (a pair's two
+    at once) to the unit projection onto its ``S_lam`` of that column of
+    ``X^{-H}`` where this raises ``|det X|``, and checks again.  A singular
+    ``X``, a non-finite ``K`` or a last miss raises :class:`PlacementError`.
     """
     targets = np.asarray(targets, dtype=complex)
     n, m = a.shape[0], b.shape[1]
@@ -150,28 +152,29 @@ def _place(a, b, targets, rng):
         pairs = np.concatenate([pairs, pairs.conj()])
     lam = np.concatenate([real, pairs])
     bases = [*real_bases, *pair_bases]
+    spectrum = spectrum or (lambda k: np.linalg.eigvals(a + b @ k))
 
     for sweep in range(PLACEMENT_SWEEPS + 1):
-        if sweep:  # unit columns; x_inv follows each move by a Woodbury update
-            scale = np.linalg.norm(x, axis=0)
-            x, x_inv = x / scale, np.linalg.inv(x) * scale[:, None]
-            for j, basis in enumerate(bases):
-                y = x_inv[j].conj()
-                y = basis @ (basis.conj().T @ (y.real if j < p else y))
-                y /= np.linalg.norm(y)
-                if j < p or complex_data:  # det X grows by the factor 1 + w_j, at least 1
-                    w = x_inv @ (y - x[:, j])
-                    x_inv -= np.outer(w / (1.0 + w[j]), x_inv[j])
-                    x[:, j] = y
-                    continue
-                cols, y = [j, j + q], np.column_stack((y, y.conj()))
-                w = x_inv @ (y - x[:, cols])
-                (c00, c01), (c10, c11) = w[cols] + np.eye(2)
-                det = c00 * c11 - c01 * c10  # the factor on det X; a pair may lower it
-                if abs(det) > 1.0:
-                    x_inv -= w @ (np.array([[c11, -c01], [-c10, c00]]) @ x_inv[cols]) / det
-                    x[:, cols] = y
         try:
+            if sweep:  # unit columns; x_inv follows each move by a Woodbury update
+                scale = np.linalg.norm(x, axis=0)
+                x, x_inv = x / scale, np.linalg.inv(x) * scale[:, None]
+                for j, basis in enumerate(bases):
+                    y = x_inv[j].conj()
+                    y = basis @ (basis.conj().T @ (y.real if j < p else y))
+                    y /= np.linalg.norm(y)
+                    if j < p or complex_data:  # det X grows by the factor 1 + w_j, at least 1
+                        w = x_inv @ (y - x[:, j])
+                        x_inv -= np.outer(w / (1.0 + w[j]), x_inv[j])
+                        x[:, j] = y
+                        continue
+                    cols, y = [j, j + q], np.column_stack((y, y.conj()))
+                    w = x_inv @ (y - x[:, cols])
+                    (c00, c01), (c10, c11) = w[cols] + np.eye(2)
+                    det = c00 * c11 - c01 * c10  # the factor on det X; a pair may lower it
+                    if abs(det) > 1.0:
+                        x_inv -= w @ (np.array([[c11, -c01], [-c10, c00]]) @ x_inv[cols]) / det
+                        x[:, cols] = y
             k = np.linalg.solve(x.T, (x * lam).T).T - a
         except np.linalg.LinAlgError:
             raise PlacementError("eigenvalue placement failed: X is singular") from None
@@ -179,7 +182,7 @@ def _place(a, b, targets, rng):
         k = k if complex_data else k.real
         if not np.all(np.isfinite(k)):
             raise PlacementError("eigenvalue placement failed: the gain is not finite")
-        miss = _spectrum_mismatch(np.linalg.eigvals(a + b @ k), targets)
+        miss = _spectrum_mismatch(spectrum(k), targets)
         if miss <= PLACEMENT_RTOL:
             return k
     raise PlacementError(f"eigenvalue placement failed after {PLACEMENT_SWEEPS} sweeps: the "
@@ -201,29 +204,31 @@ def assign_eigenvalues(sys, gamma, rng=None, rtol=PBH_RTOL):
     """Full-feedback gain pair placing the closed-loop spectrum at ``gamma``.
 
     ``gamma`` must hold ``2n`` finite values closed under conjugation.  The gain
-    is computed on the real representation and folded back, so the closed loop
-    ``{A} + {B}{K}`` attains ``gamma`` exactly (up to numerical tolerance).
-    ``rng`` is a ``numpy.random.Generator``; a call that reaches placement
-    draws ``standard_normal((2, 2n, 2n))`` from it once (see :func:`_place`).
+    is computed on the real representation and folded back; :func:`_place`
+    checks each candidate in pair form, so the closed loop ``{A} + {B}{K}``
+    attains ``gamma`` within ``PLACEMENT_RTOL``.  ``rng`` is a
+    ``numpy.random.Generator``; a call that reaches placement draws
+    ``standard_normal((2, 2n, 2n))`` from it once (see :func:`_place`).  The
+    rank test (``rtol``) runs only to name a failed placement, so an
+    uncontrollable plant whose fixed modes all lie in ``gamma`` gets a gain.
 
     Raises
     ------
     NotControllableError
-        If the system fails the controllability rank test.
+        In place of a ``PlacementError`` when the system fails the rank test.
     SpectrumError
         If ``gamma`` has the wrong size, a non-finite value, or is not conjugate-closed.
     PlacementError
-        If the closed loop misses ``gamma`` after the last sweep of :func:`_place`,
-        or the gain folded into a pair misses it by more than ``PLACEMENT_RTOL``.
+        If the pair-form closed loop misses ``gamma`` after the last sweep of
+        :func:`_place`, or ``X`` is singular.
     """
     gamma = _as_spectrum(gamma, sys.n, "system")
-    if not is_controllable(sys, rtol):
-        raise NotControllableError("system is not controllable; cannot assign spectrum")
-    a_r, b_r = sys.a.real_representation(), sys.b.real_representation()
-    gain = Bimatrix.from_real_representation(_place(a_r, b_r, gamma.values, rng))
-    if not (sys.a + sys.b @ gain).eigenvalues().matches(gamma, rtol=PLACEMENT_RTOL):
-        raise PlacementError("closed-loop spectrum verification failed")
-    return gain
+    with _named_failure(lambda: is_controllable(sys, rtol), NotControllableError(
+            "system is not controllable; cannot assign spectrum")):
+        fold = Bimatrix.from_real_representation
+        k = _place(sys.a.real_representation(), sys.b.real_representation(), gamma.values, rng,
+                   lambda k: (sys.a + sys.b @ fold(k)).eigenvalues().values)
+    return fold(k)
 
 
 def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):
@@ -233,7 +238,9 @@ def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):
     no conjugate coupling.  ``poles`` holds the ``n`` desired (finite)
     eigenvalues of ``A1 + B1 K1`` (the pair spectrum is then ``poles`` united
     with its conjugates).  With a single input the returned gain is unique.
-    ``rng`` gives one ``standard_normal((2, n, n))`` draw to :func:`_place`.
+    ``rng`` gives one ``standard_normal((2, n, n))`` draw to :func:`_place`,
+    whose check of ``A1 + B1 K1`` is the pair form; the rank test of
+    ``(A1, B1)`` runs only to name a failure (:class:`NotControllableError`).
     """
     if not sys.is_normal:
         raise ValueError("conjugate-free placement requires a normal system")
@@ -243,12 +250,10 @@ def assign_eigenvalues_normal(sys, poles, rng=None, rtol=PBH_RTOL):
     if not np.all(np.isfinite(poles)):
         raise SpectrumError("poles must be finite")
     a1, b1 = sys.a.first, sys.b.first
-    if not _rank_test(*_pbh(a1, b1, np.linalg.eigvals(a1)), rtol):
-        raise NotControllableError(
-            "the (A1, B1) pair is not controllable; cannot assign poles"
-        )
-    k1 = _place(a1, b1, poles, rng)
-    return Bimatrix.normal(k1)
+    with _named_failure(lambda: _rank_test(*_pbh(a1, b1, np.linalg.eigvals(a1)), rtol),
+                        NotControllableError("the (A1, B1) pair is not controllable; "
+                                             "cannot assign poles")):
+        return Bimatrix.normal(_place(a1, b1, poles, rng))
 
 
 def closed_loop(sys, gain):
@@ -427,16 +432,16 @@ def _bimatrix_are_residual(sys, weights, p, gain):
 
 
 @contextmanager
-def _named_failure(stabilizable, error):
-    """Raise ``error`` from a :class:`RiccatiError` in the block if ``stabilizable()`` fails.
+def _named_failure(passes, error):
+    """Raise ``error`` from a Riccati or placement failure in the block if ``passes()`` fails.
 
-    A verified regulator proves the plant stabilizable (only then has the Riccati
-    equation a stabilizing solution), so the rank test runs only to name a failure.
+    A verified regulator proves the plant stabilizable, and a verified placement the
+    spectrum assignable, so the rank test ``passes`` runs only to name a failure.
     """
     try:
         yield
-    except RiccatiError as exc:
-        if not stabilizable():
+    except (RiccatiError, PlacementError) as exc:
+        if not passes():
             raise error from exc
         raise
 
@@ -706,25 +711,22 @@ def design_observer(sys, gamma, rng=None, rtol=PBH_RTOL):
     placing ``gamma`` on the transposed real representation and transposing
     back.  ``gamma`` needs ``2n`` conjugate-closed values strictly inside the
     stable region.  ``rng`` gives one ``standard_normal((2, 2n, 2n))`` draw
-    to :func:`_place`.
+    to :func:`_place`, which checks ``{A} + {L}{C}`` in pair form.  The
+    observability rank test (``rtol``) runs only to name a failure
+    (:class:`NotObservableError`), so an unobservable plant whose fixed modes
+    all lie in ``gamma`` gets a gain verified like any other.
     """
     gamma = _as_spectrum(gamma, sys.n, "observer")
     if np.any(_bad_region_mask(gamma.values, sys.domain)):
         raise SpectrumError(
             "observer spectrum must lie strictly inside the stable region"
         )
-    if not is_observable(sys, rtol):
-        raise NotObservableError(
-            "system is not observable; cannot place the error spectrum exactly"
-        )
-    a_r, c_r = sys.a.real_representation(), sys.c.real_representation()
-    k_dual = _place(a_r.T, c_r.T, gamma.values, rng)
-    l_real = k_dual.T
-    gain = Bimatrix.from_real_representation(l_real)
-    achieved = (sys.a + gain @ sys.c).eigenvalues()
-    if not achieved.matches(gamma, rtol=PLACEMENT_RTOL):
-        raise PlacementError("observer spectrum verification failed")
-    return gain
+    with _named_failure(lambda: is_observable(sys, rtol), NotObservableError(
+            "system is not observable; cannot place the error spectrum exactly")):
+        fold = Bimatrix.from_real_representation
+        k = _place(sys.a.real_representation().T, sys.c.real_representation().T, gamma.values,
+                   rng, lambda k: (sys.a + fold(k.T) @ sys.c).eigenvalues().values)
+    return fold(k.T)
 
 
 def observer_loop(sys, l_gain, k_gain=None):

@@ -11,7 +11,7 @@ from bimatrix import make_antilinear, make_normal, system_from_json, system_to_j
 from bimatrix.cli import main
 from bimatrix.core import bimatrix_to_json, cmatrix_to_json
 
-from helpers import rand_system, rand_unstabilizable_system
+from helpers import rand_stable_spectrum, rand_system, rand_unstabilizable_system
 
 
 @pytest.fixture
@@ -114,6 +114,20 @@ class TestPlace:
         code, _, err = _run(["place", path, "--spectrum", spectrum], capsys)
         assert code == 2
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("seed, domain", [(11, "continuous"), (15, "continuous"),
+                                              (17, "discrete")])
+    def test_singular_sweep_is_infeasible_in_one_line(self, workdir, capsys, seed, domain):
+        # placement meets a singular X in a sweep on these uncontrollable
+        # plants; the rank test still names them, and nothing else is printed
+        rng = np.random.default_rng([seed, 2])
+        sysm = rand_unstabilizable_system(rng, 2, 1, domain)
+        gamma = rand_stable_spectrum(rng, 4, domain)
+        path = _write_json(workdir / "sys.json", system_to_json(sysm))
+        spectrum = json.dumps([[v.real, v.imag] for v in gamma])
+        code, out, err = _run(["place", path, "--spectrum", spectrum], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "not controllable" in err, err
 
 
 class TestStabilizeVerb:

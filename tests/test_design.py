@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -301,9 +302,10 @@ class TestPlacementKNV:
         gain = assign_eigenvalues(sysm, gamma, rng=rng)
         assert closed_loop(sysm, gain).spectrum().matches(gamma, rtol=PLACEMENT_RTOL)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 6, 9, 11, 12, 13])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 6, 9, 11, 12, 13, 16])
     def test_raw_discrete_n16_m2_placed(self, seed):
-        # 20 random Sylvester draws declined each of these plants
+        # 20 random Sylvester draws declined each of these plants; seed 16
+        # passes a real-representation check but not its pair form at first
         sysm, gamma = _raw_discrete_plant(seed, 16, 2)
         gamma = SpectrumSet(gamma).values  # in the order assign_eigenvalues passes them
         a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
@@ -358,6 +360,90 @@ class TestPlacementKNV:
         assert ratio <= 10.0
 
 
+def _dual(sysm):
+    """Real representation ``(A_r^T, C_r = B_r^T)``: observable iff ``sysm`` is controllable."""
+    fold = Bimatrix.from_real_representation
+    return CxSystem(fold(sysm.a.real_representation().T), Bimatrix.zeros(sysm.n, 1),
+                    fold(sysm.b.real_representation().T), Bimatrix.zeros(sysm.m, 1), sysm.domain)
+
+
+class TestCertificateFirstPlacement:
+    """Placement runs first and is verified in pair form; a rank test only names a failure."""
+
+    def test_rank_tests_run_only_to_name_a_failure(self, monkeypatch, rng):
+        counts = _count_calls(monkeypatch, "is_controllable", "is_observable", "_rank_test")
+        sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
+        gamma = rand_stable_spectrum(rng, 4, TimeDomain.DISCRETE)
+        assign_eigenvalues(sysm, gamma, rng=rng)
+        design_observer(_dual(sysm), gamma, rng=rng)
+        assign_eigenvalues_normal(_example_normal_system(), [-1.0, -2.0], rng=rng)
+        assert counts == {"is_controllable": 0, "is_observable": 0, "_rank_test": 0}
+        stuck = _unstable_without_input(TimeDomain.DISCRETE)
+        declines = [
+            (lambda: assign_eigenvalues(stuck, [0.1, 0.2], rng=rng), NotControllableError),
+            (lambda: design_observer(_dual(stuck), [0.1, 0.2], rng=rng), NotObservableError),
+            (lambda: assign_eigenvalues_normal(stuck, [0.1], rng=rng), NotControllableError),
+        ]
+        for call, error in declines:
+            with pytest.raises(error) as info:
+                call()
+            assert isinstance(info.value.__cause__, PlacementError)
+        assert counts == {"is_controllable": 1, "is_observable": 1, "_rank_test": 1}
+
+    def test_folded_observer_gain_checked_against_gamma(self, monkeypatch, rng):
+        # as for assign_eigenvalues: a fold that moves the gain by 1e-3 is seen
+        fold = Bimatrix.from_real_representation
+        sysm = _dual(rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE))
+        monkeypatch.setattr(design_module, "Bimatrix", types.SimpleNamespace(
+            from_real_representation=lambda mat: fold(np.asarray(mat) + 1e-3)))
+        with pytest.raises(PlacementError, match="misses the targets"):
+            design_observer(sysm, rand_stable_spectrum(rng, 4, TimeDomain.DISCRETE), rng=rng)
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_unreached_unstable_modes_named_without_warnings(self, domain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(30):
+                for n in (2, 3, 4):
+                    rng = np.random.default_rng([seed, n])
+                    sysm = rand_unstabilizable_system(rng, n, 1, domain)
+                    gamma = rand_stable_spectrum(rng, 2 * n, domain)
+                    with pytest.raises(NotControllableError):
+                        assign_eigenvalues(sysm, gamma, rng=rng)
+                    with pytest.raises(NotObservableError):
+                        design_observer(_dual(sysm), gamma, rng=rng)
+
+    @pytest.mark.parametrize("seed, domain", [(11, TimeDomain.CONTINUOUS),
+                                              (15, TimeDomain.CONTINUOUS),
+                                              (17, TimeDomain.DISCRETE)])
+    def test_singular_sweep_raises_placement_error(self, seed, domain):
+        # X turns singular in a sweep here; numpy's LinAlgError must not escape
+        rng = np.random.default_rng([seed, 2])
+        sysm = rand_unstabilizable_system(rng, 2, 1, domain)
+        gamma = rand_stable_spectrum(rng, 4, domain)
+        a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
+        with pytest.raises(PlacementError, match="X is singular"):
+            _place(a_r, b_r, gamma, None)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixed_modes_in_gamma_get_a_verified_gain(self, seed):
+        # the plant fails the rank test, but gamma holds its fixed modes (the
+        # eigenvalues of the unreached block a22), so no NotControllableError
+        rng = np.random.default_rng(seed)
+        t, a = rng.standard_normal((2, 4, 4))
+        a[2:, :2] = 0.0
+        b = rng.standard_normal((4, 2))
+        b[2:] = 0.0
+        fold = Bimatrix.from_real_representation
+        sysm = CxSystem(fold(t @ a @ np.linalg.inv(t)), fold(t @ b), Bimatrix.identity(2),
+                        Bimatrix.zeros(2, 1), TimeDomain.CONTINUOUS)
+        assert not is_controllable(sysm)
+        gamma = np.concatenate([np.linalg.eigvals(a[2:, 2:]),
+                                rand_stable_spectrum(rng, 2, TimeDomain.CONTINUOUS)])
+        gain = assign_eigenvalues(sysm, gamma, rng=rng)
+        assert closed_loop(sysm, gain).spectrum().matches(gamma, rtol=PLACEMENT_RTOL)
+
+
 class TestClosedLoop:
     def test_zero_gain_is_identity(self, rng):
         sysm = rand_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
@@ -379,13 +465,14 @@ class TestClosedLoop:
         assert closed_loop(sysm, gain).spectrum().matches(gamma, rtol=1e-6)
 
     def test_folded_gain_checked_against_gamma(self, monkeypatch, rng):
-        # a real-representation gain that passed _place's check but whose pair
-        # form misses gamma is refused, not returned
-        place = design_module._place
-        monkeypatch.setattr(design_module, "_place", lambda *args: place(*args) + 1e-3)
+        # a fold that moves the gain by 1e-3: the real-representation closed
+        # loop meets gamma, the pair form misses it, and the pair form decides
+        fold = Bimatrix.from_real_representation
+        monkeypatch.setattr(design_module, "Bimatrix", types.SimpleNamespace(
+            from_real_representation=lambda mat: fold(np.asarray(mat) + 1e-3)))
         sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
         gamma = rand_stable_spectrum(rng, 4, TimeDomain.DISCRETE)
-        with pytest.raises(PlacementError, match="verification failed"):
+        with pytest.raises(PlacementError, match="misses the targets"):
             assign_eigenvalues(sysm, gamma, rng=rng)
 
 

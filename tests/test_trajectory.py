@@ -96,15 +96,27 @@ class TestStateResponseAgainstLoop:
             assert _rel_err(trace.outputs, state_response_loop(sysm, [1.0, 2j], [0.0],
                                                                [[0.5j]])[1]) <= 1e-15
 
-    def test_steps_sharing_a_key_share_one_exponential(self, monkeypatch):
-        sysm = rand_system(np.random.default_rng(11), 2, 1, 1, TimeDomain.CONTINUOUS)
-        times = np.linspace(0.0, 1.0, 401)
+    # A linspace grid, and arange grids whose rounded steps fall on two or
+    # three f"{h:.12e}" keys of the loop oracle (the CLI builds its grids so).
+    @pytest.mark.parametrize("samples, dt", [(401, None)] + [
+        (samples, dt) for dt in (0.01, 0.05, 0.1) for samples in (2001, 4000)])
+    def test_steps_sharing_a_key_share_one_exponential(self, monkeypatch, samples, dt):
+        rng = np.random.default_rng(11)
+        sysm = rand_system(rng, 2, 1, 1, TimeDomain.CONTINUOUS)
+        shift = float(np.max(sysm.spectrum().values.real)) + 0.2  # bounded over 400 s
+        sysm = CxSystem(Bimatrix(sysm.a.first - shift * np.eye(2), sysm.a.second),
+                        sysm.b, sysm.c, sysm.d, sysm.domain)
+        times = np.linspace(0.0, 1.0, samples) if dt is None else np.arange(samples) * dt
         assert np.unique(np.diff(times)).size > 1
+        u = 0.3 * rand_cmatrix(rng, samples, 1)
         calls = []
         real_expm = scipy.linalg.expm
         monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or real_expm(a))
-        state_response(sysm, [1.0, 0.0], times)
+        trace = state_response(sysm, [1.0, 0.0], times, u)
         assert len(calls) == 1
+        states, outputs = state_response_loop(sysm, [1.0, 0.0], times, u)
+        assert _rel_err(trace.states, states) <= 1e-12
+        assert _rel_err(trace.outputs, outputs) <= 1e-12
 
 
 # Block lengths isqrt(steps) of 1 (the loop), 6, 7 and 63, with a short last block.
