@@ -57,6 +57,10 @@ __all__ = [
 PBH_RTOL = 1e-8
 # Margin separating "stable" from the closed bad region of the domain.
 STABILITY_TOL = 1e-9
+# Lyapunov acceptance: scaled residual, and forward-error estimate (above 1,
+# not even the leading digit of P is certain); see solve_lyapunov_real.
+LYAP_RESIDUAL_RTOL = 1e-10
+LYAP_FORWARD_LIMIT = 1.0
 # The four rank tests of a StructureReport, in report order.
 RANK_TESTS = ("controllable", "observable", "stabilizable", "detectable")
 
@@ -501,19 +505,24 @@ def antilinear_stabilizable_discrete(a2, b2, rtol=PBH_RTOL):
 # ---------------------------------------------------------------------------
 
 
-def _solve_lyapunov_refined(a, w, continuous):
-    """Solve ``a^H P + P a = -w`` or ``a^H P a - P = -w`` with SciPy.
+def solve_lyapunov_real(a, w, continuous):
+    """Solve ``a^H P + P a = -w`` or ``a^H P a - P = -w``; returns the Hermitian part of P.
 
-    The continuous equation goes to Bartels-Stewart; SciPy solves the
-    discrete one directly below order 10 and by the bilinear map to the
-    continuous one above.  One refinement step follows: the equation is
-    solved again for the residual and the correction added.  Returns the
-    Hermitian part of the solution and the norm of its residual.
+    One call of SciPy's ``solve_continuous_lyapunov`` (Bartels-Stewart) or
+    ``solve_discrete_lyapunov`` (direct below order 10, else the bilinear
+    map); ``a`` may be complex.  With the operator bound ``|L|`` = ``2|a|``
+    (continuous) or ``|a|^2 + 1`` (discrete), P is accepted when the scaled
+    residual ``|op(P) + w| / (|w| + |L||P|)`` is at most
+    ``LYAP_RESIDUAL_RTOL`` (the true backward error of this Sylvester-type
+    equation can be larger: Higham, BIT 33, 1993) and the forward-error
+    estimate ``eps |L||P| / |w|`` at most ``LYAP_FORWARD_LIMIT`` (``|P| / |w|``
+    bounds ``|L^-1|`` from below: Byers, IEEE TAC 29, 1984).  A zero ``w``
+    gives ``P = 0``.
 
     An operator eigenvalue ``conj(lam_i) + lam_j`` (``conj(lam_i) lam_j - 1``
     in discrete time) within ``1e-10 * max(1, max|lam|)`` of zero, the scale
-    squared in discrete time, raises :class:`NoUniqueSolutionError` first; so
-    does a SciPy solve that finds its linear system singular.
+    squared in discrete time, raises :class:`NoUniqueSolutionError` before
+    the solve; so do a singular SciPy solve and a P that misses either test.
     """
     lam = np.linalg.eigvals(a)
     scale = max(1.0, float(np.max(np.abs(lam))))
@@ -527,42 +536,27 @@ def _solve_lyapunov_refined(a, w, continuous):
         )
     import scipy.linalg
 
-    # SciPy solves ``m X + X m^H = q`` and ``m X m^H - X = -q``; with
-    # ``m = a^H`` each ``solve(rhs)`` below returns the X with ``op(X) = rhs``
+    # SciPy solves ``m X + X m^H = q`` and ``m X m^H - X = -q``; here ``m = a^H``
     ah = a.conj().T
-    if continuous:
-        def op(x):
-            return ah @ x + x @ a
-
-        def solve(rhs):
-            return scipy.linalg.solve_continuous_lyapunov(ah, rhs)
-    else:
-        def op(x):
-            return ah @ x @ a - x
-
-        def solve(rhs):
-            return scipy.linalg.solve_discrete_lyapunov(ah, -rhs)
     try:
-        p = solve(-w)
-        p = p - solve(op(p) + w)
+        if continuous:
+            p = scipy.linalg.solve_continuous_lyapunov(ah, -w)
+        else:
+            p = scipy.linalg.solve_discrete_lyapunov(ah, w)
     except np.linalg.LinAlgError as exc:  # the direct discrete solve's Kronecker system
         raise NoUniqueSolutionError(f"Lyapunov operator is singular in float64: {exc}") from exc
     p = (p + p.conj().T) / 2.0
-    return p, np.linalg.norm(op(p) + w)
-
-
-def solve_lyapunov_real(a, w, continuous):
-    """Solve ``a^T P + P a = -w`` or ``a^T P a - P = -w`` for symmetric ``P``.
-
-    ``scipy.linalg.solve_continuous_lyapunov`` / ``solve_discrete_lyapunov``,
-    followed by one refinement step (see :func:`_solve_lyapunov_refined`).  An
-    eigenvalue pair that makes the operator singular is rejected up front,
-    and a solution whose residual exceeds ``1e-6 * max(1, |w|)`` is refused.
-    """
-    p, res = _solve_lyapunov_refined(a, w, continuous)
-    if res > 1e-6 * max(1.0, np.linalg.norm(w)):
+    res = ah @ p + p @ a + w if continuous else ah @ p @ a - p + w
+    norm_a, norm_p, norm_w = (float(np.linalg.norm(x)) for x in (a, p, w))
+    norm_l = 2.0 * norm_a if continuous else norm_a * norm_a + 1.0
+    tiny = np.finfo(float).tiny  # both quotients are 0, not 0/0, for w = 0 and P = 0
+    scaled = float(np.linalg.norm(res)) / max(norm_w + norm_l * norm_p, tiny)
+    forward = np.finfo(float).eps * norm_l * norm_p / max(norm_w, tiny)
+    if not (scaled <= LYAP_RESIDUAL_RTOL and forward <= LYAP_FORWARD_LIMIT):
         raise NoUniqueSolutionError(
-            "Lyapunov solve is too ill-conditioned to trust"
+            f"Lyapunov solve is too ill-conditioned to trust: scaled residual {scaled:.1e} "
+            f"(limit {LYAP_RESIDUAL_RTOL:g}), forward-error estimate {forward:.1e} "
+            f"(limit {LYAP_FORWARD_LIMIT:g})"
         )
     return p
 
@@ -572,15 +566,16 @@ def solve_lyapunov(sys, c_bm=None):
 
     Continuous: ``{A}^H {P} + {P} {A} = -{C}^H {C}``; discrete replaces the
     left side with ``{A}^H {P} {A} - {P}``.  Solved on the real
-    representation by :func:`solve_lyapunov_real` (a SciPy solve plus one
-    refinement step) and mapped back; the result is a Hermite pair.
+    representation by :func:`solve_lyapunov_real` (one SciPy solve) and
+    mapped back; the result is a Hermite pair.
 
     Raises
     ------
     NoUniqueSolutionError
         When the underlying linear operator is singular (an eigenvalue pair
-        sums to zero / multiplies to one), or so ill-conditioned that the
-        solution misses its residual gate.
+        sums to zero / multiplies to one), or the solution misses the scaled
+        residual gate ``LYAP_RESIDUAL_RTOL`` or has a forward-error estimate
+        above ``LYAP_FORWARD_LIMIT``; the message names both numbers.
     """
     c_bm = sys.c if c_bm is None else c_bm
     if c_bm.cols != sys.n:
@@ -597,12 +592,14 @@ def antilinear_lyapunov_reduced(a2, c_n):
     """Solve ``M^H P M - P = -C_N^H C_N`` with ``M = conj(A2) A2``.
 
     This is the reduced, decoupled form of the discrete stability equation
-    for a purely conjugate-driven system.  Returns a Hermitian matrix.
+    for a purely conjugate-driven system, solved and gated by
+    :func:`solve_lyapunov_real`.  Returns a Hermitian matrix.
 
     Raises
     ------
     NoUniqueSolutionError
-        When an eigenvalue pair of ``M`` has ``conj(mu_i) mu_j = 1``.
+        When an eigenvalue pair of ``M`` has ``conj(mu_i) mu_j = 1``, or the
+        solution misses either acceptance test of :func:`solve_lyapunov_real`.
     NoPositiveDefiniteSolutionError
         If the solved matrix is not positive definite, which by the stability
         theory means the system is not asymptotically stable.
@@ -610,7 +607,7 @@ def antilinear_lyapunov_reduced(a2, c_n):
     a2 = np.asarray(a2, dtype=complex)
     c_n = np.asarray(c_n, dtype=complex)
     m0 = np.conj(a2) @ a2
-    p, _ = _solve_lyapunov_refined(m0, c_n.conj().T @ c_n, continuous=False)
+    p = solve_lyapunov_real(m0, c_n.conj().T @ c_n, continuous=False)
     if not _is_pd_hermitian(p):
         raise NoPositiveDefiniteSolutionError(
             "no positive definite solution: the system is not asymptotically stable"

@@ -75,10 +75,8 @@ DEFAULT_SEED = 12345
 PLACEMENT_RTOL = 1e-6
 # Riccati residual gate: |res| / max(1, |P|).
 ARE_RESIDUAL_RTOL = 1e-10
-# Newton polish steps allowed when the Schur solution misses the gate, and how
-# far they may move it (relative to the Schur solution) before the two
-# solvers count as disagreeing.
-ARE_NEWTON_STEPS = 3
+# How far the one Newton polish step may move a Schur solution that misses the
+# gate (relative to it) before the two solvers count as disagreeing.
 ARE_POLISH_RTOL = math.sqrt(np.finfo(float).eps)
 # Longest time grid a cost or simulation may allocate.
 MAX_GRID_STEPS = 2_000_000
@@ -343,9 +341,9 @@ class LqrSolution:
 
     ``residual`` is the relative residual of the pair-valued Riccati equation,
     in closed-loop form with the returned gain (:func:`_bimatrix_are_residual`)
-    for :func:`lqr`.  ``iterations`` is 1 plus the number of Newton polish
-    steps that followed the Schur solve, for :func:`lqr` and both antilinear
-    regulators alike.
+    for :func:`lqr`.  ``iterations`` is 1 when the Schur solution met the
+    residual gate and 2 when it took the one Newton polish step, for
+    :func:`lqr` and both antilinear regulators alike.
     ``minimum_cost(x0)`` evaluates the optimal cost ``Re(x0^H {P} x0)``.
     """
 
@@ -363,14 +361,15 @@ def _solve_are_real(a, b, q, r, continuous):
 
     SciPy's Schur solvers (Laub's method for the continuous equation, the
     generalized Schur method for the discrete one) give ``P``.  It must meet
-    ``|res| / max(1, |P|) <= ARE_RESIDUAL_RTOL``.  When it misses, at most
-    ``ARE_NEWTON_STEPS`` Kleinman (continuous) or Hewer (discrete) Newton
-    steps polish it, each one Lyapunov solve for the closed loop of the
-    current gain, which must be stabilizing (it never is on an unstabilizable
-    plant).  The polished ``P`` is kept only if it lies within
-    ``ARE_POLISH_RTOL`` of the Schur solution: two independent solvers must
-    agree.  ``K`` is the optimal gain for ``P``, and ``iterations`` is 1 plus
-    the number of Newton steps taken.
+    ``|res| / max(1, |P|) <= ARE_RESIDUAL_RTOL``.  When it misses, one
+    Kleinman (continuous) or Hewer (discrete) Newton step polishes it: one
+    :func:`solve_lyapunov_real` call for the closed loop of the Schur gain,
+    which must be stabilizing (it never is on an unstabilizable plant); a P
+    that one step leaves short of the gate sits at the roundoff floor, where
+    more steps do not help.  The polished ``P`` must meet the gate and lie
+    within ``ARE_POLISH_RTOL`` of the Schur solution: two independent solvers
+    must agree.  ``K`` is the optimal gain for ``P``; ``iterations`` is 1, or
+    2 after the polish.
     """
     import scipy.linalg
 
@@ -382,7 +381,7 @@ def _solve_are_real(a, b, q, r, continuous):
     if not np.all(np.isfinite(p0)):
         raise RiccatiError("Schur Riccati solve returned non-finite entries")
     p, domain = p0, TimeDomain.CONTINUOUS if continuous else TimeDomain.DISCRETE
-    for steps in range(ARE_NEWTON_STEPS + 1):
+    for polished in (False, True):
         # optimal gain (u = K x) for the current P; the residual uses the closed loop
         if continuous:
             k = -np.linalg.solve(r, b.T @ p)
@@ -398,8 +397,8 @@ def _solve_are_real(a, b, q, r, continuous):
                     f"Newton polish moved the Schur solution by {moved:.1e} (relative); "
                     "the two solvers disagree"
                 )
-            return p, k, 1 + steps
-        if steps == ARE_NEWTON_STEPS:
+            return p, k, 2 if polished else 1
+        if polished:
             break
         if np.any(_bad_region_mask(np.linalg.eigvals(acl), domain)):
             raise RiccatiError("Newton polish needs a stabilizing gain; the current gain is not")
@@ -408,8 +407,7 @@ def _solve_are_real(a, b, q, r, continuous):
         except NoUniqueSolutionError as exc:
             raise RiccatiError(f"Newton polish step failed: {exc}") from exc
     raise RiccatiError(
-        f"Riccati residual {rel:.1e} above {ARE_RESIDUAL_RTOL:.0e} after "
-        f"{ARE_NEWTON_STEPS} Newton polish steps"
+        f"Riccati residual {rel:.1e} above {ARE_RESIDUAL_RTOL:.0e} after a Newton polish step"
     )
 
 
@@ -466,8 +464,8 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
     """Optimal full state feedback for the infinite-horizon quadratic cost.
 
     Solves the Riccati equation of the real representation (the two pictures
-    are equivalent) with SciPy's Schur solvers and at most a few Newton
-    polish steps (see :func:`_solve_are_real`), folds the solution back into
+    are equivalent) with SciPy's Schur solvers and at most one Newton
+    polish step (see :func:`_solve_are_real`), folds the solution back into
     a Hermite pair ``{P1, P2}`` and the gain into ``{K1*, K2*}``, and verifies
     positive definiteness, closed-loop stability and the closed-loop form of
     the pair residual.  The stabilizability rank test runs only to name a
@@ -485,9 +483,10 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
     Raises
     ------
     RiccatiError
-        When the Schur solve fails, misses the residual gate even after
-        Newton polishing, disagrees with its polished solution, or the result
-        fails the definiteness or stability check.
+        When the Schur solve fails, misses the residual gate and cannot be
+        polished or still misses it after the one Newton polish step,
+        disagrees with its polished solution, or the result fails the
+        definiteness or stability check.
     NotStabilizableError
         In place of a ``RiccatiError`` when the plant fails the rank test.
     """
@@ -607,12 +606,13 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
     with ``S = R1 + B2^H conj(P1) B2``, and the optimal feedback is the
     conjugate-free ``u = K1 x``, ``K1 = -S^{-1} B2^H conj(P1) A2``.  It is the
     Riccati equation of the real representation, so :func:`_solve_are_real`
-    solves it there.  The folded solution must then have a vanishing second
-    part, meet the decoupled equation and reproduce the folded general gain
-    as ``K1``, each within 1e-8 relative.  A ``RiccatiError`` means that the
-    Schur solve failed or missed its residual gate, or that one of these
-    checks or the closed-loop stability check failed; only then does the rank
-    test :func:`antilinear_stabilizable_discrete` run, to name it.
+    solves it there, with at most one Newton polish step.  The folded
+    solution must then have a vanishing second part, meet the decoupled
+    equation and reproduce the folded general gain as ``K1``, each within
+    1e-8 relative.  A ``RiccatiError`` means that ``_solve_are_real`` failed
+    (its residual gate, its polish step or their cross-check), or that one
+    of these checks or the closed-loop stability check failed; only then
+    does the rank test :func:`antilinear_stabilizable_discrete` run.
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)

@@ -394,3 +394,21 @@ def kron_lyapunov(a, w, continuous):
         op = np.kron(a.T, ah) - np.eye(n * n)
     vec_p = np.linalg.solve(op, -np.asarray(w).flatten(order="F"))
     return vec_p.reshape((n, n), order="F")
+
+
+def lyapunov_scaled_residual(a, p, w, continuous):
+    """``|op(P) + w| / (|w| + |L| |P|)`` with ``|L|`` = ``2|a|`` or ``|a|^2 + 1``."""
+    ah = a.conj().T
+    res = ah @ p + p @ a + w if continuous else ah @ p @ a - p + w
+    norm_l = 2.0 * np.linalg.norm(a) if continuous else np.linalg.norm(a) ** 2 + 1.0
+    return np.linalg.norm(res) / (np.linalg.norm(w) + norm_l * np.linalg.norm(p))
+
+
+def dare_closed_loop(sysm):
+    """The closed loop of a discrete plant under SciPy's regulator for unit weights."""
+    rep = sysm.real_representation()
+    n2, m2 = rep.b.shape
+    p = scipy.linalg.solve_discrete_are(rep.a, rep.b, np.eye(n2), np.eye(m2))
+    k = -np.linalg.solve(np.eye(m2) + rep.b.T @ p @ rep.b, rep.b.T @ p @ rep.a)
+    return CxSystem(Bimatrix.from_real_representation(rep.a + rep.b @ k),
+                    sysm.b, sysm.c, sysm.d, sysm.domain)

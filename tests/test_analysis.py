@@ -1,7 +1,9 @@
 import io
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bimatrix import (
     Bimatrix,
@@ -29,7 +31,14 @@ from bimatrix import (
     unarrow,
 )
 from bimatrix import analysis
-from bimatrix.analysis import PBH_RTOL, STABILITY_TOL, _pbh, solve_lyapunov_real
+from bimatrix.analysis import (
+    LYAP_FORWARD_LIMIT,
+    LYAP_RESIDUAL_RTOL,
+    PBH_RTOL,
+    STABILITY_TOL,
+    _pbh,
+    solve_lyapunov_real,
+)
 from bimatrix.exceptions import (
     NoPositiveDefiniteSolutionError,
     NoUniqueSolutionError,
@@ -38,12 +47,15 @@ from bimatrix.exceptions import (
 
 from helpers import (
     antilinear_series_pair,
+    dare_closed_loop,
     kron_lyapunov,
     lift,
     lifted_pbh_oracle,
+    lyapunov_scaled_residual,
     pbh_oracle,
     rand_bimatrix,
     rand_cmatrix,
+    rand_controllable_system,
     rand_stable_system,
     rand_system,
     simulate_real_system,
@@ -669,6 +681,83 @@ class TestLyapunov:
             solve_lyapunov_real(a, np.eye(2), domain == "continuous")
 
 
+class TestLyapunovGate:
+    """One SciPy call per solve, judged by scaled residual and forward-error estimate."""
+
+    @staticmethod
+    def _stable(rng, n, continuous):
+        a = rng.standard_normal((n, n))
+        lam = np.linalg.eigvals(a)
+        if continuous:
+            return a - (float(np.max(lam.real)) + 0.5) * np.eye(n)
+        return a * (0.9 / float(np.max(np.abs(lam))))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_raw_discrete_order_8_regulated_loop_accepted(self, seed):
+        # ||P|| is 1e10 or more here: an absolute residual gate refuses such P
+        sysm = rand_controllable_system(np.random.default_rng(seed), 8, 1, 1,
+                                        TimeDomain.DISCRETE)
+        closed = dare_closed_loop(sysm)
+        p = solve_lyapunov(closed)
+        a = closed.a.real_representation()
+        p_rep = p.real_representation()
+        c = closed.c.real_representation()
+        assert lyapunov_scaled_residual(a, p_rep, c.T @ c, continuous=False) <= 1e-10
+        assert np.array_equal(p_rep, p_rep.T)
+
+    @pytest.mark.parametrize(
+        "continuous, solver",
+        [(True, "solve_continuous_lyapunov"), (False, "solve_discrete_lyapunov")],
+    )
+    def test_one_scipy_call_per_solve(self, rng, monkeypatch, continuous, solver):
+        exact, calls = getattr(scipy.linalg, solver), []
+
+        def recorded(*args):
+            calls.append(None)
+            return exact(*args)
+
+        monkeypatch.setattr(scipy.linalg, solver, recorded)
+        for n in (2, 12):  # SciPy's direct and bilinear discrete paths
+            calls.clear()
+            solve_lyapunov_real(self._stable(rng, n, continuous), np.eye(n), continuous)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("continuous", [True, False])
+    def test_zero_weight_gives_zero_solution(self, rng, continuous):
+        a = self._stable(rng, 4, continuous)
+        p = solve_lyapunov_real(a, np.zeros((4, 4)), continuous)
+        assert np.array_equal(p, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize(
+        "continuous, solver",
+        [(True, "solve_continuous_lyapunov"), (False, "solve_discrete_lyapunov")],
+    )
+    def test_perturbed_solution_refused_by_the_scaled_residual(
+        self, rng, monkeypatch, continuous, solver
+    ):
+        exact = getattr(scipy.linalg, solver)
+
+        def perturbed(m, q):
+            x = exact(m, q)
+            return x + 1e-6 * np.linalg.norm(x) * np.eye(x.shape[0])
+
+        monkeypatch.setattr(scipy.linalg, solver, perturbed)
+        with pytest.raises(NoUniqueSolutionError, match="scaled residual"):
+            solve_lyapunov_real(self._stable(rng, 3, continuous), np.eye(3), continuous)
+
+    def test_refusal_names_both_numbers(self):
+        # the matrix of test_singular_in_float64_raises_no_unique_solution: its
+        # scaled residual passes, its forward-error estimate reads about 1e9
+        x = y = 1e8
+        w = -1.365 - x
+        a = np.array([[x, y], [(x * w - 0.0845) / y, w]])
+        with pytest.raises(NoUniqueSolutionError) as info:
+            solve_lyapunov_real(a, np.eye(2), continuous=True)
+        scaled, forward = (float(v) for v in re.findall(
+            r"(?:scaled residual|forward-error estimate) (\S+) \(limit", str(info.value)))
+        assert scaled <= LYAP_RESIDUAL_RTOL and forward > LYAP_FORWARD_LIMIT
+
+
 class TestAntilinearLyapunovReduced:
     def test_scalar_golden(self):
         p = antilinear_lyapunov_reduced(np.array([[0.5]]), np.array([[1.0], [0.5]]))
@@ -683,6 +772,19 @@ class TestAntilinearLyapunovReduced:
         # M = conj(A2) A2 = 1, so conj(mu) mu - 1 = 0
         with pytest.raises(NoUniqueSolutionError, match="eigenvalue pair"):
             antilinear_lyapunov_reduced(np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_perturbed_solution_refused(self, monkeypatch):
+        # the reduced solve goes through the same gate as every other one
+        exact = scipy.linalg.solve_discrete_lyapunov
+
+        def perturbed(m, q):
+            x = exact(m, q)
+            return x + 1e-6 * np.linalg.norm(x) * np.eye(x.shape[0])
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov", perturbed)
+        a2 = np.array([[0.5, 0.2j], [0.1, -0.4]])
+        with pytest.raises(NoUniqueSolutionError, match="scaled residual"):
+            antilinear_lyapunov_reduced(a2, np.eye(2))
 
     def test_agrees_with_pair_solution_via_stacked_weight(self, rng):
         for _ in range(10):

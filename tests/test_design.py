@@ -724,20 +724,48 @@ class TestLqrCost:
 
 
 class TestRiccatiSolverPath:
-    def test_schur_solution_disagreeing_with_newton_polish_is_refused(
-        self, rng, monkeypatch
-    ):
-        sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
-        assert lqr(sysm).iterations == 1
+    @staticmethod
+    def _perturb_dare(monkeypatch, shift):
         exact = scipy.linalg.solve_discrete_are
 
         def perturbed(a, b, q, r):
             p = exact(a, b, q, r)
-            return p + 1e-4 * np.linalg.norm(p) * np.eye(p.shape[0])
+            return p + shift * np.linalg.norm(p) * np.eye(p.shape[0])
 
         monkeypatch.setattr(scipy.linalg, "solve_discrete_are", perturbed)
+
+    def test_schur_solution_disagreeing_with_newton_polish_is_refused(
+        self, rng, monkeypatch
+    ):
+        # one Newton step cannot repair a 1e-4 error: the residual gate refuses it
+        sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
+        assert lqr(sysm).iterations == 1
+        self._perturb_dare(monkeypatch, 1e-4)
+        with pytest.raises(RiccatiError):
+            lqr(sysm)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_polish_past_the_cross_check_tolerance_is_refused(self, monkeypatch, seed):
+        # one step repairs a 1e-7 error, but moves P past ARE_POLISH_RTOL
+        sysm = rand_controllable_system(np.random.default_rng(seed), 2, 1, 1,
+                                        TimeDomain.DISCRETE)
+        self._perturb_dare(monkeypatch, 1e-7)
         with pytest.raises(RiccatiError, match="disagree"):
             lqr(sysm)
+
+    def test_stalled_polish_takes_one_lyapunov_solve(self, rng, monkeypatch):
+        sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
+        self._perturb_dare(monkeypatch, 1e-4)
+        exact, calls = design_module.solve_lyapunov_real, []
+
+        def recorded(*args):
+            calls.append(None)
+            return exact(*args)
+
+        monkeypatch.setattr(design_module, "solve_lyapunov_real", recorded)
+        with pytest.raises(RiccatiError, match="after a Newton polish step"):
+            lqr(sysm)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "domain, solver",
