@@ -546,6 +546,17 @@ def solve_lyapunov_real(a, w, continuous):
     except np.linalg.LinAlgError as exc:  # the direct discrete solve's Kronecker system
         raise NoUniqueSolutionError(f"Lyapunov operator is singular in float64: {exc}") from exc
     p = (p + p.conj().T) / 2.0
+    _lyapunov_gate(a, p, w, continuous)
+    return p
+
+
+def _lyapunov_gate(a, p, w, continuous):
+    """Refuse ``p`` unless it meets both acceptance tests of :func:`solve_lyapunov_real`.
+
+    Raises :class:`NoUniqueSolutionError` naming the scaled residual of
+    ``a^H P + P a + w`` (``a^H P a - P + w``) and the forward-error estimate.
+    """
+    ah = a.conj().T
     res = ah @ p + p @ a + w if continuous else ah @ p @ a - p + w
     norm_a, norm_p, norm_w = (float(np.linalg.norm(x)) for x in (a, p, w))
     norm_l = 2.0 * norm_a if continuous else norm_a * norm_a + 1.0
@@ -558,7 +569,6 @@ def solve_lyapunov_real(a, w, continuous):
             f"(limit {LYAP_RESIDUAL_RTOL:g}), forward-error estimate {forward:.1e} "
             f"(limit {LYAP_FORWARD_LIMIT:g})"
         )
-    return p
 
 
 def solve_lyapunov(sys, c_bm=None):

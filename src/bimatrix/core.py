@@ -417,9 +417,6 @@ class HermiteBimatrix(Bimatrix):
     def is_positive_definite(self):
         return is_positive_definite(self)
 
-    def quadratic_form(self, x):
-        return quadratic_form_real(self, x)
-
     def __repr__(self):
         return f"HermiteBimatrix(shape={self.shape})"
 
@@ -563,12 +560,6 @@ class SpectrumSet:
 
     def __iter__(self):
         return iter(self._values)
-
-    def max_real(self):
-        return float(np.max(self._values.real))
-
-    def max_modulus(self):
-        return float(np.max(np.abs(self._values)))
 
     def matches(self, other, rtol=1e-6):
         """Multiset equality up to ``rtol * (1 + |value|)`` per element."""

@@ -39,8 +39,10 @@ from .exceptions import (
     SpectrumError,
 )
 from .analysis import (
+    LYAP_RESIDUAL_RTOL,
     PBH_RTOL,
     _bad_region_mask,
+    _lyapunov_gate,
     _pbh,
     _propagate,
     _rank_test,
@@ -50,7 +52,6 @@ from .analysis import (
     is_controllable,
     is_observable,
     is_stabilizable,
-    solve_lyapunov_real,
 )
 from .systems import CxSystem, TimeDomain, make_antilinear
 
@@ -73,11 +74,6 @@ __all__ = [
 DEFAULT_SEED = 12345
 # Achieved-spectrum tolerance, scaled by 1 + |eigenvalue|.
 PLACEMENT_RTOL = 1e-6
-# Riccati residual gate: |res| / max(1, |P|).
-ARE_RESIDUAL_RTOL = 1e-10
-# How far the one Newton polish step may move a Schur solution that misses the
-# gate (relative to it) before the two solvers count as disagreeing.
-ARE_POLISH_RTOL = math.sqrt(np.finfo(float).eps)
 # Longest time grid a cost or simulation may allocate.
 MAX_GRID_STEPS = 2_000_000
 # Steps per block of lqr_cost's propagation: memory stays O(block) at any grid.
@@ -341,9 +337,8 @@ class LqrSolution:
 
     ``residual`` is the relative residual of the pair-valued Riccati equation,
     in closed-loop form with the returned gain (:func:`_bimatrix_are_residual`)
-    for :func:`lqr`.  ``iterations`` is 1 when the Schur solution met the
-    residual gate and 2 when it took the one Newton polish step, for
-    :func:`lqr` and both antilinear regulators alike.
+    for :func:`lqr`.  ``iterations`` is always 1: every regulator makes one
+    Schur solve (:func:`_solve_are_real`).
     ``minimum_cost(x0)`` evaluates the optimal cost ``Re(x0^H {P} x0)``.
     """
 
@@ -357,58 +352,35 @@ class LqrSolution:
 
 
 def _solve_are_real(a, b, q, r, continuous):
-    """Riccati equation of the real representation; returns ``(P, K, iterations)``.
+    """Riccati equation of the real representation; returns ``(P, K, 1)``.
 
-    SciPy's Schur solvers (Laub's method for the continuous equation, the
-    generalized Schur method for the discrete one) give ``P``.  It must meet
-    ``|res| / max(1, |P|) <= ARE_RESIDUAL_RTOL``.  When it misses, one
-    Kleinman (continuous) or Hewer (discrete) Newton step polishes it: one
-    :func:`solve_lyapunov_real` call for the closed loop of the Schur gain,
-    which must be stabilizing (it never is on an unstabilizable plant); a P
-    that one step leaves short of the gate sits at the roundoff floor, where
-    more steps do not help.  The polished ``P`` must meet the gate and lie
-    within ``ARE_POLISH_RTOL`` of the Schur solution: two independent solvers
-    must agree.  ``K`` is the optimal gain for ``P``; ``iterations`` is 1, or
-    2 after the polish.
+    One call of SciPy's Schur solvers (Laub's method for the continuous
+    equation, the generalized Schur method for the discrete one) gives ``P``,
+    and ``K`` is the optimal gain for it.  With that ``K`` the Riccati
+    residual is the residual of the closed-loop Lyapunov equation for
+    ``a + b K`` with weight ``q + K^T r K``, so :func:`_lyapunov_gate` accepts
+    or refuses ``P`` as it stands.  The ``1`` is the solve count that
+    :class:`LqrSolution` reports as ``iterations``.
     """
     import scipy.linalg
 
     solver = scipy.linalg.solve_continuous_are if continuous else scipy.linalg.solve_discrete_are
     try:
-        p0 = solver(a, b, q, r)
+        p = solver(a, b, q, r)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise RiccatiError(f"Schur Riccati solve failed: {exc}") from exc
-    if not np.all(np.isfinite(p0)):
+    if not np.all(np.isfinite(p)):
         raise RiccatiError("Schur Riccati solve returned non-finite entries")
-    p, domain = p0, TimeDomain.CONTINUOUS if continuous else TimeDomain.DISCRETE
-    for polished in (False, True):
-        # optimal gain (u = K x) for the current P; the residual uses the closed loop
-        if continuous:
-            k = -np.linalg.solve(r, b.T @ p)
-        else:
-            k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
-        acl = a + b @ k
-        res = a.T @ p + p @ acl + q if continuous else a.T @ p @ acl - p + q
-        rel = np.linalg.norm(res) / max(1.0, np.linalg.norm(p))
-        if rel <= ARE_RESIDUAL_RTOL:
-            moved = np.linalg.norm(p - p0) / np.linalg.norm(p0)
-            if moved > ARE_POLISH_RTOL:
-                raise RiccatiError(
-                    f"Newton polish moved the Schur solution by {moved:.1e} (relative); "
-                    "the two solvers disagree"
-                )
-            return p, k, 2 if polished else 1
-        if polished:
-            break
-        if np.any(_bad_region_mask(np.linalg.eigvals(acl), domain)):
-            raise RiccatiError("Newton polish needs a stabilizing gain; the current gain is not")
-        try:
-            p = solve_lyapunov_real(acl, q + k.T @ r @ k, continuous)
-        except NoUniqueSolutionError as exc:
-            raise RiccatiError(f"Newton polish step failed: {exc}") from exc
-    raise RiccatiError(
-        f"Riccati residual {rel:.1e} above {ARE_RESIDUAL_RTOL:.0e} after a Newton polish step"
-    )
+    # optimal gain (u = K x) for P
+    if continuous:
+        k = -np.linalg.solve(r, b.T @ p)
+    else:
+        k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+    try:
+        _lyapunov_gate(a + b @ k, p, q + k.T @ r @ k, continuous)
+    except NoUniqueSolutionError as exc:
+        raise RiccatiError(f"Riccati solution refused: {exc}") from exc
+    return p, k, 1
 
 
 def _bimatrix_are_residual(sys, weights, p, gain):
@@ -464,8 +436,8 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
     """Optimal full state feedback for the infinite-horizon quadratic cost.
 
     Solves the Riccati equation of the real representation (the two pictures
-    are equivalent) with SciPy's Schur solvers and at most one Newton
-    polish step (see :func:`_solve_are_real`), folds the solution back into
+    are equivalent) with one SciPy Schur solve under the closed-loop
+    Lyapunov gate (see :func:`_solve_are_real`), folds the solution back into
     a Hermite pair ``{P1, P2}`` and the gain into ``{K1*, K2*}``, and verifies
     positive definiteness, closed-loop stability and the closed-loop form of
     the pair residual.  The stabilizability rank test runs only to name a
@@ -483,10 +455,8 @@ def lqr(sys, weights=None, rtol=PBH_RTOL):
     Raises
     ------
     RiccatiError
-        When the Schur solve fails, misses the residual gate and cannot be
-        polished or still misses it after the one Newton polish step,
-        disagrees with its polished solution, or the result fails the
-        definiteness or stability check.
+        When the Schur solve fails or misses the Lyapunov gate, or the
+        result fails the definiteness or stability check.
     NotStabilizableError
         In place of a ``RiccatiError`` when the plant fails the rank test.
     """
@@ -606,13 +576,14 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
     with ``S = R1 + B2^H conj(P1) B2``, and the optimal feedback is the
     conjugate-free ``u = K1 x``, ``K1 = -S^{-1} B2^H conj(P1) A2``.  It is the
     Riccati equation of the real representation, so :func:`_solve_are_real`
-    solves it there, with at most one Newton polish step.  The folded
-    solution must then have a vanishing second part, meet the decoupled
-    equation and reproduce the folded general gain as ``K1``, each within
-    1e-8 relative.  A ``RiccatiError`` means that ``_solve_are_real`` failed
-    (its residual gate, its polish step or their cross-check), or that one
-    of these checks or the closed-loop stability check failed; only then
-    does the rank test :func:`antilinear_stabilizable_discrete` run.
+    solves it there.  The folded solution must then meet the decoupled
+    equation with a scaled residual
+    ``|res| / (|Q1| + (|A2|^2 + 1)|P1|)`` at most ``LYAP_RESIDUAL_RTOL``
+    (reported as ``residual``), have a vanishing second part and reproduce
+    the folded general gain as ``K1``, the last two within 1e-8 relative.
+    A ``RiccatiError`` means that ``_solve_are_real`` failed, or that one of
+    these checks or the closed-loop stability check failed; only then does
+    the rank test :func:`antilinear_stabilizable_discrete` run.
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
@@ -633,12 +604,12 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
         k1 = -np.linalg.solve(r1 + b2.conj().T @ pc @ b2, b2.conj().T @ pc @ a2)
         closed = a2 + b2 @ k1
         res = q1 + a2.conj().T @ pc @ closed - p
-        scale = max(1.0, np.linalg.norm(p), np.linalg.norm(q1))
-        residual = float(np.linalg.norm(res) / scale)
-        coupling = float(np.linalg.norm(p_pair.second) / scale)
+        norm_a, norm_p, norm_q = (np.linalg.norm(x) for x in (a2, p, q1))
+        residual = float(np.linalg.norm(res) / (norm_q + (norm_a * norm_a + 1.0) * norm_p))
+        coupling = float(np.linalg.norm(p_pair.second) / max(1.0, norm_p, norm_q))
         gain_scale = max(1.0, np.linalg.norm(gain.first) + np.linalg.norm(gain.second))
         drift = (np.linalg.norm(k1 - gain.first) + np.linalg.norm(gain.second)) / gain_scale
-        if max(residual, coupling, drift) > 1e-8:
+        if residual > LYAP_RESIDUAL_RTOL or max(coupling, drift) > 1e-8:
             raise RiccatiError(
                 f"solution violates the decoupled equation (residual {residual:.1e}, "
                 f"conjugate part {coupling:.1e}, gain drift {drift:.1e})"

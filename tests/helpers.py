@@ -8,7 +8,15 @@ system directly, and spectra come from the lifted matrices.
 import numpy as np
 import scipy.linalg
 
-from bimatrix import Bimatrix, CxSystem, TimeDomain, arrow, quadratic_form_real, unarrow
+from bimatrix import (
+    Bimatrix,
+    CxSystem,
+    TimeDomain,
+    arrow,
+    make_normal,
+    quadratic_form_real,
+    unarrow,
+)
 
 
 def rand_cmatrix(rng, rows, cols, scale=1.0):
@@ -66,25 +74,31 @@ def rand_controllable_system(rng, n, m, p, domain, scale=1.0):
     raise AssertionError("could not generate a controllable system")
 
 
-def rand_unstabilizable_system(rng, n, m, domain):
+def _unstable_corner(a, k, domain):
+    """Shift (continuous) or scale (discrete) ``a[k:, k:]`` to 0.3 past the stability boundary."""
+    lam = np.linalg.eigvals(a[k:, k:])
+    if domain in (TimeDomain.CONTINUOUS, "continuous"):
+        a[k:, k:] -= (lam.real.min() - 0.3) * np.eye(a.shape[0] - k)
+    else:
+        a[k:, k:] *= 1.3 / np.abs(lam).min()
+
+
+def rand_unstabilizable_system(rng, n, m, domain, weight=0.0):
     """System with an unstable part that no input reaches, up to rounding.
 
     The real representation is ``T [[A11, A12], [0, A22]] T^-1`` with input
-    ``T [B1; 0]`` for a random real ``T``; the order-``n`` block ``A22`` is
-    shifted (continuous) or scaled (discrete) to put its whole spectrum 0.3
-    past the stability boundary.  Any real even-order system folds into pair
-    form, so the plant is a general coupled one.
+    ``T [B1; weight * B2]`` for a random real ``T``; the order-``n`` block
+    ``A22`` is shifted (continuous) or scaled (discrete) to put its whole
+    spectrum 0.3 past the stability boundary.  Any real even-order system
+    folds into pair form, so the plant is a general coupled one.  A small
+    nonzero ``weight`` puts the plant inside the rank test's tolerance band.
     """
     t = rng.standard_normal((2 * n, 2 * n))
     a = rng.standard_normal((2 * n, 2 * n))
     a[n:, :n] = 0.0
-    lam = np.linalg.eigvals(a[n:, n:])
-    if domain in (TimeDomain.CONTINUOUS, "continuous"):
-        a[n:, n:] -= (lam.real.min() - 0.3) * np.eye(n)
-    else:
-        a[n:, n:] *= 1.3 / np.abs(lam).min()
+    _unstable_corner(a, n, domain)
     b = rng.standard_normal((2 * n, 2 * m))
-    b[n:] = 0.0
+    b[n:] *= weight
     return CxSystem(
         Bimatrix.from_real_representation(t @ a @ np.linalg.inv(t)),
         Bimatrix.from_real_representation(t @ b),
@@ -92,6 +106,22 @@ def rand_unstabilizable_system(rng, n, m, domain):
         Bimatrix.zeros(n, m),
         domain,
     )
+
+
+def rand_unstabilizable_normal(rng, n, domain, weight):
+    """Normal one-input plant ``{T A T^-1, 0}``, ``{T b, 0}`` with ``A`` upper block triangular.
+
+    The last ``n - n // 2`` states form the unstable block (as in
+    :func:`rand_unstabilizable_system`), reached only through the entries of
+    ``b`` scaled by ``weight``; ``T`` is a random complex matrix.
+    """
+    k = n // 2
+    t, a = rand_cmatrix(rng, n, n), rand_cmatrix(rng, n, n)
+    a[k:, :k] = 0.0
+    _unstable_corner(a, k, domain)
+    b = rand_cmatrix(rng, n, 1)
+    b[k:] *= weight
+    return make_normal(t @ a @ np.linalg.inv(t), t @ b, np.eye(n), domain=domain)
 
 
 def rand_unstabilizable_antilinear(rng, n, m):

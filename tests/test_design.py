@@ -1,4 +1,5 @@
 import math
+import re
 import types
 import warnings
 
@@ -35,8 +36,10 @@ from bimatrix import (
 import bimatrix.core as core_module
 import bimatrix.design as design_module
 from bimatrix.core import _spectrum_mismatch
+from bimatrix.analysis import LYAP_RESIDUAL_RTOL
 from bimatrix.design import PLACEMENT_RTOL, _mirror_spectrum, _place
 from bimatrix.exceptions import (
+    BimatrixError,
     DimensionError,
     NotControllableError,
     NotObservableError,
@@ -54,6 +57,7 @@ from helpers import (
     rand_stable_spectrum,
     rand_system,
     rand_unstabilizable_antilinear,
+    rand_unstabilizable_normal,
     rand_unstabilizable_system,
 )
 
@@ -737,7 +741,7 @@ class TestRiccatiSolverPath:
     def test_schur_solution_disagreeing_with_newton_polish_is_refused(
         self, rng, monkeypatch
     ):
-        # one Newton step cannot repair a 1e-4 error: the residual gate refuses it
+        # a 1e-4 error in P is far past the closed-loop Lyapunov gate
         sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
         assert lqr(sysm).iterations == 1
         self._perturb_dare(monkeypatch, 1e-4)
@@ -745,27 +749,29 @@ class TestRiccatiSolverPath:
             lqr(sysm)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_polish_past_the_cross_check_tolerance_is_refused(self, monkeypatch, seed):
-        # one step repairs a 1e-7 error, but moves P past ARE_POLISH_RTOL
+    def test_schur_solution_off_by_1e7_misses_the_scaled_residual_gate(self, monkeypatch, seed):
         sysm = rand_controllable_system(np.random.default_rng(seed), 2, 1, 1,
                                         TimeDomain.DISCRETE)
         self._perturb_dare(monkeypatch, 1e-7)
-        with pytest.raises(RiccatiError, match="disagree"):
+        with pytest.raises(RiccatiError, match="scaled residual") as info:
             lqr(sysm)
+        scaled = float(re.search(r"scaled residual ([0-9.e+-]+)", str(info.value)).group(1))
+        assert scaled > LYAP_RESIDUAL_RTOL
 
-    def test_stalled_polish_takes_one_lyapunov_solve(self, rng, monkeypatch):
+    @pytest.mark.parametrize("shift", [0.0, 1e-4])
+    def test_riccati_gate_runs_no_lyapunov_solve(self, rng, monkeypatch, shift):
+        def no_lyapunov(*args):
+            raise AssertionError("a Lyapunov solve ran inside the Riccati solver")
+
+        for solver in ("solve_discrete_lyapunov", "solve_continuous_lyapunov"):
+            monkeypatch.setattr(scipy.linalg, solver, no_lyapunov)
         sysm = rand_controllable_system(rng, 2, 1, 1, TimeDomain.DISCRETE)
-        self._perturb_dare(monkeypatch, 1e-4)
-        exact, calls = design_module.solve_lyapunov_real, []
-
-        def recorded(*args):
-            calls.append(None)
-            return exact(*args)
-
-        monkeypatch.setattr(design_module, "solve_lyapunov_real", recorded)
-        with pytest.raises(RiccatiError, match="after a Newton polish step"):
-            lqr(sysm)
-        assert len(calls) == 1
+        self._perturb_dare(monkeypatch, shift)
+        if shift:
+            with pytest.raises(RiccatiError, match="scaled residual"):
+                lqr(sysm)
+        else:
+            assert lqr(sysm).iterations == 1
 
     @pytest.mark.parametrize(
         "domain, solver",
@@ -807,13 +813,13 @@ class TestRiccatiSolverPath:
         got = sol.p.real_representation()
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
-    def test_newton_polished_raw_discrete_solution_matches_scipy(self):
-        # this raw plant's Schur solution misses the residual gate by itself
+    def test_raw_discrete_schur_solution_is_accepted_as_it_stands(self):
+        # this raw plant's Schur solution missed the old |res| / max(1, |P|) gate
         sysm = rand_controllable_system(
             np.random.default_rng(0), 8, 2, 1, TimeDomain.DISCRETE
         )
         sol = lqr(sysm)
-        assert sol.iterations > 1
+        assert sol.iterations == 1
         want = self._scipy_dare(sysm)
         got = sol.p.real_representation()
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -1014,15 +1020,34 @@ class TestUnstabilizableFailurePath:
                         antilinear_lqr_discrete(a2, b2, np.eye(n), np.eye(1))
 
     @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
-    def test_newton_polish_refuses_a_gain_that_is_not_stabilizing(self, monkeypatch, domain):
+    def test_unstabilizable_plant_is_refused_without_a_lyapunov_solve(self, monkeypatch, domain):
         def no_lyapunov(*args):
-            raise AssertionError("a Newton step ran for an unstabilizable plant")
+            raise AssertionError("a Lyapunov solve ran for an unstabilizable plant")
 
-        monkeypatch.setattr(design_module, "solve_lyapunov_real", no_lyapunov)
+        for solver in ("solve_discrete_lyapunov", "solve_continuous_lyapunov"):
+            monkeypatch.setattr(scipy.linalg, solver, no_lyapunov)
         for seed in range(10):
             sysm = rand_unstabilizable_system(np.random.default_rng([seed, 3]), 3, 1, domain)
             with pytest.raises(NotStabilizableError):
                 lqr(sysm)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_weakly_reached_unstable_block_gets_a_verified_gain_or_a_refusal(self, domain):
+        # the unstable block is reached only through an input weight inside the
+        # rank test's tolerance band; SciPy must not warn on the way to either answer
+        for weight in (1e-8, 1e-7, 1e-6):
+            for seed in range(3):
+                for n in (2, 3):
+                    rng = np.random.default_rng([seed, n])
+                    for sysm in (rand_unstabilizable_system(rng, n, 1, domain, weight),
+                                 rand_unstabilizable_normal(rng, n, domain, weight)):
+                        for design in (lambda s: lqr(s).gain, stabilize):
+                            try:
+                                gain = design(sysm)
+                            except BimatrixError:
+                                continue
+                            assert is_asymptotically_stable(closed_loop(sysm, gain))
 
 
 class TestObserver:
