@@ -546,15 +546,17 @@ def solve_lyapunov_real(a, w, continuous):
     except np.linalg.LinAlgError as exc:  # the direct discrete solve's Kronecker system
         raise NoUniqueSolutionError(f"Lyapunov operator is singular in float64: {exc}") from exc
     p = (p + p.conj().T) / 2.0
-    _lyapunov_gate(a, p, w, continuous)
+    reason = _lyapunov_gate(a, p, w, continuous)
+    if reason:
+        raise NoUniqueSolutionError(f"Lyapunov solution is too ill-conditioned to trust: {reason}")
     return p
 
 
 def _lyapunov_gate(a, p, w, continuous):
-    """Refuse ``p`` unless it meets both acceptance tests of :func:`solve_lyapunov_real`.
+    """Why ``p`` fails an acceptance test of :func:`solve_lyapunov_real`, or None if it passes.
 
-    Raises :class:`NoUniqueSolutionError` naming the scaled residual of
-    ``a^H P + P a + w`` (``a^H P a - P + w``) and the forward-error estimate.
+    The reason names the scaled residual of ``a^H P + P a + w``
+    (``a^H P a - P + w``) and the forward-error estimate, each with its limit.
     """
     ah = a.conj().T
     res = ah @ p + p @ a + w if continuous else ah @ p @ a - p + w
@@ -564,11 +566,9 @@ def _lyapunov_gate(a, p, w, continuous):
     scaled = float(np.linalg.norm(res)) / max(norm_w + norm_l * norm_p, tiny)
     forward = np.finfo(float).eps * norm_l * norm_p / max(norm_w, tiny)
     if not (scaled <= LYAP_RESIDUAL_RTOL and forward <= LYAP_FORWARD_LIMIT):
-        raise NoUniqueSolutionError(
-            f"Lyapunov solve is too ill-conditioned to trust: scaled residual {scaled:.1e} "
-            f"(limit {LYAP_RESIDUAL_RTOL:g}), forward-error estimate {forward:.1e} "
-            f"(limit {LYAP_FORWARD_LIMIT:g})"
-        )
+        return (f"scaled residual {scaled:.1e} (limit {LYAP_RESIDUAL_RTOL:g}), "
+                f"forward-error estimate {forward:.1e} (limit {LYAP_FORWARD_LIMIT:g})")
+    return None
 
 
 def solve_lyapunov(sys, c_bm=None):

@@ -30,7 +30,6 @@ from .core import (
 )
 from .exceptions import (
     DimensionError,
-    NoUniqueSolutionError,
     NotControllableError,
     NotObservableError,
     NotStabilizableError,
@@ -106,6 +105,10 @@ def _place(a, b, targets, rng, spectrum=None):
     at once) to the unit projection onto its ``S_lam`` of that column of
     ``X^{-H}`` where this raises ``|det X|``, and checks again.  A singular
     ``X``, a non-finite ``K`` or a last miss raises :class:`PlacementError`.
+    So does a first miss when ``X`` with unit columns has a 2-norm condition
+    number of at least ``1/eps``: such an ``X`` is singular to working
+    precision, so its ``X^{-H}`` carries no correct digit to sweep with, and
+    the message names that number.
     """
     targets = np.asarray(targets, dtype=complex)
     n, m = a.shape[0], b.shape[1]
@@ -179,6 +182,12 @@ def _place(a, b, targets, rng, spectrum=None):
         miss = _spectrum_mismatch(spectrum(k), targets)
         if miss <= PLACEMENT_RTOL:
             return k
+        if not sweep:  # no sweep can repair an X that is singular to working precision
+            kappa = np.linalg.cond(x / np.linalg.norm(x, axis=0))
+            if np.finfo(float).eps * kappa >= 1.0:
+                raise PlacementError(f"eigenvalue placement failed: X is singular to working "
+                                     f"precision (condition number {kappa:.1e}); the closed-loop "
+                                     f"spectrum misses the targets by {miss:.1e} (relative)")
     raise PlacementError(f"eigenvalue placement failed after {PLACEMENT_SWEEPS} sweeps: the "
                          f"closed-loop spectrum misses the targets by {miss:.1e} (relative)")
 
@@ -337,8 +346,8 @@ class LqrSolution:
 
     ``residual`` is the relative residual of the pair-valued Riccati equation,
     in closed-loop form with the returned gain (:func:`_bimatrix_are_residual`)
-    for :func:`lqr`.  ``iterations`` is always 1: every regulator makes one
-    Schur solve (:func:`_solve_are_real`).
+    for :func:`lqr` and :func:`antilinear_lqr_continuous`.  ``iterations`` is
+    always 1: every regulator makes one Schur solve (:func:`_solve_are_real`).
     ``minimum_cost(x0)`` evaluates the optimal cost ``Re(x0^H {P} x0)``.
     """
 
@@ -359,8 +368,8 @@ def _solve_are_real(a, b, q, r, continuous):
     and ``K`` is the optimal gain for it.  With that ``K`` the Riccati
     residual is the residual of the closed-loop Lyapunov equation for
     ``a + b K`` with weight ``q + K^T r K``, so :func:`_lyapunov_gate` accepts
-    or refuses ``P`` as it stands.  The ``1`` is the solve count that
-    :class:`LqrSolution` reports as ``iterations``.
+    ``P`` as it stands or names why it is refused.  The ``1`` is the solve
+    count that :class:`LqrSolution` reports as ``iterations``.
     """
     import scipy.linalg
 
@@ -376,10 +385,9 @@ def _solve_are_real(a, b, q, r, continuous):
         k = -np.linalg.solve(r, b.T @ p)
     else:
         k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
-    try:
-        _lyapunov_gate(a + b @ k, p, q + k.T @ r @ k, continuous)
-    except NoUniqueSolutionError as exc:
-        raise RiccatiError(f"Riccati solution refused: {exc}") from exc
+    reason = _lyapunov_gate(a + b @ k, p, q + k.T @ r @ k, continuous)
+    if reason:
+        raise RiccatiError(f"Riccati solution is too ill-conditioned to trust: {reason}")
     return p, k, 1
 
 
@@ -534,12 +542,7 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
             stacklevel=2,
         )
     x = arrow(x0)
-    a_r = cl.a.real_representation()
-    ad = a_r
-    if continuous:
-        import scipy.linalg
-
-        ad = scipy.linalg.expm(float(dt) * a_r)
+    ad = (cl.a.expm(dt) if continuous else cl.a).real_representation()
     k_r = gain.real_representation()
     zero = np.zeros((2 * sys.n, 2 * sys.m))
     # stage cost z' W z of z = (x_r, K_r x_r)
@@ -624,15 +627,18 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
 def antilinear_lqr_continuous(a2, b2, q, r1):
     """Continuous-time regulator for a purely conjugate-driven system.
 
-    Delegates to the general regulator (with ``A1 = B1 = 0`` and ``R2 = 0``),
-    then checks the decoupled coupled-equation form of the Riccati system and
-    re-derives the gains from it::
+    This is the general regulator on ``make_antilinear(a2, b2)`` (``A1 = B1 =
+    0``) with state weight ``q`` and input weight ``{r1, 0}``, and its
+    :class:`LqrSolution` comes back unchanged: the gain is the general
+    extraction from the real representation, and ``residual`` is the pair
+    residual that :func:`lqr` reports.  The solution solves the paper's
+    decoupled form of the Riccati system, whose gains are::
 
         K1* = -R1^{-1} B2^H P2,    K2* = -conj(R1)^{-1} B2^T P1
 
-    asserting agreement with the general extraction.  Controllability is the
-    exact stabilizability condition in continuous time; its rank test
-    :func:`antilinear_controllable` runs only to name a ``RiccatiError``.
+    Controllability is the exact stabilizability condition in continuous
+    time; its rank test :func:`antilinear_controllable` runs only to name a
+    ``RiccatiError``.
     """
     a2 = np.asarray(a2, dtype=complex)
     b2 = np.asarray(b2, dtype=complex)
@@ -641,33 +647,7 @@ def antilinear_lqr_continuous(a2, b2, q, r1):
     weights = WeightPair(q, HermiteBimatrix(r1))
     with _named_failure(lambda: antilinear_controllable(a2, b2), NotControllableError(
             "continuous antilinear system is not controllable (hence not stabilizable)")):
-        sol = _lqr_solution(make_antilinear(a2, b2, domain=TimeDomain.CONTINUOUS), weights)
-        p1, p2 = sol.p.first, sol.p.second
-        q1, q2, r1 = weights.q.first, weights.q.second, weights.r.first
-
-        r1i = np.linalg.inv(r1)
-        k1 = -r1i @ b2.conj().T @ p2
-        k2 = -np.conj(r1i) @ b2.T @ p1
-        # the decoupled equations in closed-loop form, with the gains they give
-        res1 = a2.conj().T @ p2 + np.conj(p2) @ (a2 + b2 @ k1) + p1 @ np.conj(b2) @ k2 + q1
-        res2 = a2.T @ p1 + np.conj(p1) @ (a2 + b2 @ k1) + p2 @ np.conj(b2) @ k2 + q2
-        scale = max(1.0, np.linalg.norm(q1) + np.linalg.norm(q2),
-                    np.linalg.norm(p1) + np.linalg.norm(p2))
-        residual = float(max(np.linalg.norm(res1), np.linalg.norm(res2)) / scale)
-        if residual > 1e-8:
-            raise RiccatiError(
-                f"solution violates the decoupled equations (residual {residual:.1e})"
-            )
-        gain_scale = max(1.0, np.linalg.norm(sol.gain.first) + np.linalg.norm(sol.gain.second))
-        drift = (
-            np.linalg.norm(k1 - sol.gain.first) + np.linalg.norm(k2 - sol.gain.second)
-        ) / gain_scale
-        if drift > 1e-8:
-            raise RiccatiError(
-                f"decoupled gain formulas disagree with the general gain ({drift:.1e})"
-            )
-        return LqrSolution(p=sol.p, gain=Bimatrix(k1, k2), residual=residual,
-                           iterations=sol.iterations)
+        return _lqr_solution(make_antilinear(a2, b2, domain=TimeDomain.CONTINUOUS), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -246,9 +246,12 @@ class TestPlacementKNV:
         ref.standard_normal((2, n, n))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("seed, n, m, sweeps", [(0, 2, 1, 0), (3, 8, 2, 0), (0, 16, 1, 2)])
+    @pytest.mark.parametrize("seed, n, m, sweeps", [(0, 2, 1, 0), (3, 8, 2, 0), (0, 16, 2, 1),
+                                                    (0, 16, 1, 0)])
     def test_sweeps_only_after_a_miss(self, monkeypatch, seed, n, m, sweeps):
-        # each sweep inverts X once; a first check that passes runs none
+        # each sweep inverts X once; a first check that passes runs none, and
+        # the raw n = 16, m = 1 decline ends at the conditioning exit, before
+        # any sweep
         counts = {"inv": 0}
         inv = np.linalg.inv
 
@@ -261,7 +264,7 @@ class TestPlacementKNV:
         try:
             assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
         except PlacementError:
-            assert sweeps == design_module.PLACEMENT_SWEEPS
+            assert (n, m) == (16, 1)
         assert counts["inv"] == sweeps
 
     @pytest.mark.parametrize("seed", range(3))
@@ -321,10 +324,36 @@ class TestPlacementKNV:
     @pytest.mark.parametrize("seed", range(2))
     def test_raw_discrete_n16_m1_declines_in_one_line(self, seed):
         sysm, gamma = _raw_discrete_plant(seed, 16, 1)
-        sweeps = design_module.PLACEMENT_SWEEPS
-        with pytest.raises(PlacementError, match=f"after {sweeps} sweeps") as info:
+        with pytest.raises(PlacementError, match="X is singular to working precision") as info:
             assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
         assert "\n" not in str(info.value)
+
+    def test_singular_eigenvector_matrix_declines_at_the_first_check(self, monkeypatch):
+        # the CI layer-time step's fresh raw discrete n = 16 systems (seed 16):
+        # with m = 1, X at the first check is singular to working precision, so
+        # the call names its condition number and runs no sweep; m = 2 places
+        def fresh_system(m):
+            rng = np.random.default_rng(16)
+
+            def pair(rows, cols):
+                parts = rng.standard_normal((2, 2, rows, cols))
+                return Bimatrix(*(parts[0] + 1j * parts[1]))
+
+            sysm = CxSystem(pair(16, 16), pair(16, m), pair(m, 16), pair(m, m),
+                            TimeDomain.DISCRETE)
+            upper = rng.uniform(0.2, 0.8, 16) * np.exp(1j * rng.uniform(0.2, 2.9, 16))
+            return sysm, np.concatenate([upper, upper.conj()])
+
+        sysm, gamma = fresh_system(2)
+        gain = assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+        assert closed_loop(sysm, gain).spectrum().matches(gamma, rtol=PLACEMENT_RTOL)
+        counts = _count_calls(monkeypatch, "_spectrum_mismatch")
+        sysm, gamma = fresh_system(1)
+        with pytest.raises(PlacementError) as info:
+            assign_eigenvalues(sysm, gamma, rng=np.random.default_rng(7))
+        kappa = float(re.search(r"condition number (\S+)\)", str(info.value)).group(1))
+        assert kappa * np.finfo(float).eps >= 1.0
+        assert counts == {"_spectrum_mismatch": 1}
 
     @pytest.mark.parametrize("b", [np.zeros((2, 1)), np.zeros((2, 2), dtype=complex),
                                    np.zeros((2, 0))])
@@ -420,13 +449,18 @@ class TestCertificateFirstPlacement:
     @pytest.mark.parametrize("seed, domain", [(11, TimeDomain.CONTINUOUS),
                                               (15, TimeDomain.CONTINUOUS),
                                               (17, TimeDomain.DISCRETE)])
-    def test_singular_sweep_raises_placement_error(self, seed, domain):
-        # X turns singular in a sweep here; numpy's LinAlgError must not escape
+    def test_singular_sweep_raises_placement_error(self, monkeypatch, seed, domain):
+        # X is singular to working precision at the first check here, so the
+        # conditioning exit declines; without that exit X turns singular in a
+        # sweep, and numpy's LinAlgError must not escape either
         rng = np.random.default_rng([seed, 2])
         sysm = rand_unstabilizable_system(rng, 2, 1, domain)
         gamma = rand_stable_spectrum(rng, 4, domain)
         a_r, b_r = sysm.a.real_representation(), sysm.b.real_representation()
-        with pytest.raises(PlacementError, match="X is singular"):
+        with pytest.raises(PlacementError, match="X is singular to working precision"):
+            _place(a_r, b_r, gamma, None)
+        monkeypatch.setattr(np.linalg, "cond", lambda x: 1.0)
+        with pytest.raises(PlacementError, match="X is singular$"):
             _place(a_r, b_r, gamma, None)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -757,6 +791,7 @@ class TestRiccatiSolverPath:
             lqr(sysm)
         scaled = float(re.search(r"scaled residual ([0-9.e+-]+)", str(info.value)).group(1))
         assert scaled > LYAP_RESIDUAL_RTOL
+        assert "Lyapunov solve" not in str(info.value)  # the message names the Riccati solution
 
     @pytest.mark.parametrize("shift", [0.0, 1e-4])
     def test_riccati_gate_runs_no_lyapunov_solve(self, rng, monkeypatch, shift):
@@ -963,12 +998,25 @@ class TestAntilinearLqrContinuous:
             if not is_controllable(sysm):
                 continue
             q = hermite_from_real_representation(_rand_spd(rng, 2 * n))
-            sol = antilinear_lqr_continuous(a2, b2, q, _rand_hpd(rng, m))
-            # the solver itself enforces residual <= 1e-8; make it visible here
-            assert sol.residual <= 1e-8
-            assert is_asymptotically_stable(
-                closed_loop(sysm, sol.gain)
-            )
+            r1 = _rand_hpd(rng, m)
+            sol = antilinear_lqr_continuous(a2, b2, q, r1)
+            general = lqr(sysm, WeightPair(q, HermiteBimatrix(r1)))
+            assert sol.residual == general.residual
+            for got, want in ((sol.p, general.p), (sol.gain, general.gain)):
+                assert np.array_equal(got.first, want.first)
+                assert np.array_equal(got.second, want.second)
+            # the paper's decoupled equations and gain formulas hold for it
+            p1, p2, g1, g2 = sol.p.first, sol.p.second, sol.gain.first, sol.gain.second
+            r1i = np.linalg.inv(r1)
+            k1 = -r1i @ b2.conj().T @ p2
+            k2 = -np.conj(r1i) @ b2.T @ p1
+            res1 = a2.conj().T @ p2 + np.conj(p2) @ (a2 + b2 @ k1) + p1 @ np.conj(b2) @ k2 + q.first
+            res2 = a2.T @ p1 + np.conj(p1) @ (a2 + b2 @ k1) + p2 @ np.conj(b2) @ k2 + q.second
+            norm = np.linalg.norm
+            scale = max(1.0, norm(q.first) + norm(q.second), norm(p1) + norm(p2))
+            assert max(norm(res1), norm(res2)) <= 1e-8 * scale
+            assert norm(k1 - g1) + norm(k2 - g2) <= 1e-8 * max(1.0, norm(g1) + norm(g2))
+            assert is_asymptotically_stable(closed_loop(sysm, sol.gain))
 
     def test_uncontrollable_rejected(self, rng):
         with pytest.raises(NotControllableError):
