@@ -346,8 +346,8 @@ class LqrSolution:
 
     ``residual`` is the relative residual of the pair-valued Riccati equation,
     in closed-loop form with the returned gain (:func:`_bimatrix_are_residual`)
-    for :func:`lqr` and :func:`antilinear_lqr_continuous`.  ``iterations`` is
-    always 1: every regulator makes one Schur solve (:func:`_solve_are_real`).
+    for :func:`lqr` and :func:`antilinear_lqr_continuous`.  ``iterations`` is always
+    1: every regulator makes one ordered Schur factorization (:func:`_solve_are_real`).
     ``minimum_cost(x0)`` evaluates the optimal cost ``Re(x0^H {P} x0)``.
     """
 
@@ -363,21 +363,34 @@ class LqrSolution:
 def _solve_are_real(a, b, q, r, continuous):
     """Riccati equation of the real representation; returns ``(P, K, 1)``.
 
-    One call of SciPy's Schur solvers (Laub's method for the continuous
-    equation, the generalized Schur method for the discrete one) gives ``P``,
-    and ``K`` is the optimal gain for it.  With that ``K`` the Riccati
-    residual is the residual of the closed-loop Lyapunov equation for
-    ``a + b K`` with weight ``q + K^T r K``, so :func:`_lyapunov_gate` accepts
-    ``P`` as it stands or names why it is refused.  The ``1`` is the solve
-    count that :class:`LqrSolution` reports as ``iterations``.
+    One unbalanced ordered Schur factorization with exactly ``n`` stable eigenvalues gives
+    ``P = U21 U11^{-1}``, symmetrized, from its stable subspace ``[U11; U21]``: the Schur form
+    of the Hamiltonian ``[[a, -b r^-1 b^T], [-q, -a^T]]`` (Laub, 1979), or the QZ form of
+    ``[[a, 0, b], [-q, I, 0], [0, 0, r]] - z [[I, 0], [0, a^T], [0, -b^T]]`` compressed to
+    ``2n`` rows by one QR (Pappas, Laub and Sandell, 1980).  With the optimal ``K`` for ``P``
+    the Riccati residual is the residual of the closed-loop Lyapunov equation for ``a + b K``
+    with weight ``q + K^T r K``, which :func:`_lyapunov_gate` accepts or names why it refuses.
     """
     import scipy.linalg
 
-    solver = scipy.linalg.solve_continuous_are if continuous else scipy.linalg.solve_discrete_are
+    n, m = b.shape
     try:
-        p = solver(a, b, q, r)
+        if continuous:
+            h = np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]])
+            _, u, stable = scipy.linalg.schur(h, sort="lhp")
+        else:
+            zero, below = np.zeros((n, n)), np.zeros((m, n))
+            h = np.block([[a, zero, b], [-q, np.eye(n), below.T], [below, below, r]])
+            j = np.block([[np.eye(n), zero], [zero, a.T], [below, -b.T]])
+            w = np.linalg.qr(h[:, 2 * n:], mode="complete")[0][:, m:].T
+            _, _, alpha, beta, _, u = scipy.linalg.ordqz(w @ h[:, :2 * n], w @ j, sort="iuc")
+            stable = np.count_nonzero(np.abs(alpha) < np.abs(beta))
+        if stable != n:
+            raise ValueError(f"{stable} of {2 * n} eigenvalues are stable, not {n}")
+        p = np.linalg.solve(u[:n, :n].T, u[n:, :n].T)  # P^T = U11^{-T} U21^T
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise RiccatiError(f"Schur Riccati solve failed: {exc}") from exc
+    p = (p + p.T) / 2
     if not np.all(np.isfinite(p)):
         raise RiccatiError("Schur Riccati solve returned non-finite entries")
     # optimal gain (u = K x) for P
@@ -443,13 +456,13 @@ def _lqr_solution(sys, weights):
 def lqr(sys, weights=None, rtol=PBH_RTOL):
     """Optimal full state feedback for the infinite-horizon quadratic cost.
 
-    Solves the Riccati equation of the real representation (the two pictures
-    are equivalent) with one SciPy Schur solve under the closed-loop
-    Lyapunov gate (see :func:`_solve_are_real`), folds the solution back into
-    a Hermite pair ``{P1, P2}`` and the gain into ``{K1*, K2*}``, and verifies
-    positive definiteness, closed-loop stability and the closed-loop form of
-    the pair residual.  The stabilizability rank test runs only to name a
-    failure (see :func:`_named_failure`); ``rtol`` matters only then.
+    Solves the Riccati equation of the real representation (the two pictures are
+    equivalent) with one ordered Schur factorization, of the Hamiltonian or of the
+    compressed symplectic pencil, under the closed-loop Lyapunov gate (see
+    :func:`_solve_are_real`), folds the solution back into a Hermite pair ``{P1, P2}``
+    and the gain into ``{K1*, K2*}``, and verifies positive definiteness, closed-loop
+    stability and the closed-loop form of the pair residual.  The stabilizability rank
+    test runs only to name a failure (see :func:`_named_failure`); ``rtol`` matters only then.
 
     Parameters
     ----------
@@ -533,8 +546,11 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
         default = max(float(horizon) / 10_000.0, np.finfo(float).tiny)
         dt = 1.0 / (50.0 * fastest) if fastest > 0 else default
     steps = math.ceil(_grid_span(horizon, dt if continuous else 1.0))
+    ad = cl.a.real_representation()
     if continuous and steps:
+        import scipy.linalg
         dt = float(horizon) / steps  # the grid ends at the horizon
+        ad = scipy.linalg.expm(dt * ad)  # the exact one-step transition
     if not stable:
         warnings.warn(
             "closed loop is not asymptotically stable; cost is a diverging partial sum",
@@ -542,7 +558,6 @@ def lqr_cost(sys, weights, gain, x0, horizon, dt=None):
             stacklevel=2,
         )
     x = arrow(x0)
-    ad = (cl.a.expm(dt) if continuous else cl.a).real_representation()
     k_r = gain.real_representation()
     zero = np.zeros((2 * sys.n, 2 * sys.m))
     # stage cost z' W z of z = (x_r, K_r x_r)
@@ -578,9 +593,9 @@ def antilinear_lqr_discrete(a2, b2, q1, r1):
 
     with ``S = R1 + B2^H conj(P1) B2``, and the optimal feedback is the
     conjugate-free ``u = K1 x``, ``K1 = -S^{-1} B2^H conj(P1) A2``.  It is the
-    Riccati equation of the real representation, so :func:`_solve_are_real`
-    solves it there.  The folded solution must then meet the decoupled
-    equation with a scaled residual
+    Riccati equation of the real representation, which :func:`_solve_are_real`
+    solves by one QZ of the compressed symplectic pencil.  The folded solution
+    must then meet the decoupled equation with a scaled residual
     ``|res| / (|Q1| + (|A2|^2 + 1)|P1|)`` at most ``LYAP_RESIDUAL_RTOL``
     (reported as ``residual``), have a vanishing second part and reproduce
     the folded general gain as ``K1``, the last two within 1e-8 relative.

@@ -507,7 +507,7 @@ class TestScipyLoadedOnlyWhereCalled:
         assert self._scipy_modules(workdir, argv) == "[]"
 
     def test_lqr_loads_scipy(self, workdir):
-        # the probe's positive control: lqr calls SciPy's Riccati solvers
+        # the probe's positive control: lqr calls SciPy's ordered Schur factorizations
         path = _example_system_file(workdir / "sys.json")
         argv = ["lqr", path, "--out", "report.json"]
         assert "scipy.linalg" in self._scipy_modules(workdir, argv)

@@ -36,7 +36,7 @@ from bimatrix import (
 import bimatrix.core as core_module
 import bimatrix.design as design_module
 from bimatrix.core import _spectrum_mismatch
-from bimatrix.analysis import LYAP_RESIDUAL_RTOL
+from bimatrix.analysis import LYAP_RESIDUAL_RTOL, _lyapunov_gate
 from bimatrix.design import PLACEMENT_RTOL, _mirror_spectrum, _place
 from bimatrix.exceptions import (
     BimatrixError,
@@ -764,13 +764,19 @@ class TestLqrCost:
 class TestRiccatiSolverPath:
     @staticmethod
     def _perturb_dare(monkeypatch, shift):
-        exact = scipy.linalg.solve_discrete_are
+        # The solver reads P = Z21 Z11^{-1} off the ordered QZ form, so adding
+        # c Z11 to Z21 shifts P by c I, with c = shift * |P|.
+        exact = scipy.linalg.ordqz
 
-        def perturbed(a, b, q, r):
-            p = exact(a, b, q, r)
-            return p + shift * np.linalg.norm(p) * np.eye(p.shape[0])
+        def perturbed(*args, **kwargs):
+            *head, z = exact(*args, **kwargs)
+            n = z.shape[0] // 2
+            p = np.linalg.solve(z[:n, :n].T, z[n:, :n].T).T
+            z = z.copy()
+            z[n:, :n] += shift * np.linalg.norm(p) * z[:n, :n]
+            return (*head, z)
 
-        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", perturbed)
+        monkeypatch.setattr(scipy.linalg, "ordqz", perturbed)
 
     def test_schur_solution_disagreeing_with_newton_polish_is_refused(
         self, rng, monkeypatch
@@ -817,16 +823,81 @@ class TestRiccatiSolverPath:
         self, rng, monkeypatch, domain, solver
     ):
         # SciPy is imported inside the solver, so a patched module attribute
-        # is what runs
-        exact, calls = getattr(scipy.linalg, solver), []
+        # is what runs: one ordered Schur factorization per solve (the
+        # Hamiltonian's schur, or the symplectic pencil's ordqz), and never
+        # SciPy's general Riccati solver
+        calls = {"schur": 0, "ordqz": 0}
+        for name in calls:
+            def recorded(*args, _name=name, _exact=getattr(scipy.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _exact(*args, **kwargs)
 
-        def recorded(*args):
-            calls.append(None)
-            return exact(*args)
+            monkeypatch.setattr(scipy.linalg, name, recorded)
 
-        monkeypatch.setattr(scipy.linalg, solver, recorded)
+        def general_solver(*args, **kwargs):
+            raise AssertionError(f"{solver} ran")
+
+        monkeypatch.setattr(scipy.linalg, solver, general_solver)
         lqr(rand_controllable_system(rng, 2, 1, 1, domain))
-        assert len(calls) == 1
+        expected = "schur" if domain.is_continuous else "ordqz"
+        assert calls == {name: int(name == expected) for name in calls}
+
+    @pytest.mark.parametrize("domain, a", [(TimeDomain.CONTINUOUS, 0.0),
+                                           (TimeDomain.DISCRETE, 1.0)])
+    def test_boundary_mode_without_input_fails_the_stable_count(self, domain, a):
+        # a mode on the stability boundary that no input reaches leaves no
+        # eigenvalue of the Hamiltonian or of the pencil strictly stable
+        sysm = make_normal([[a]], [[0.0]], [[1.0]], domain=domain)
+        with pytest.raises(NotStabilizableError) as info:
+            lqr(sysm)
+        assert "Schur Riccati solve failed: 0 of 4 eigenvalues are stable, not 2" in str(
+            info.value.__cause__)
+
+    @staticmethod
+    def _closed_loop(a, b, q, r, p, continuous):
+        """``a + b K`` and ``q + K^T r K`` for the optimal gain ``K`` of ``p``."""
+        if continuous:
+            k = -np.linalg.solve(r, b.T @ p)
+        else:
+            k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+        return a + b @ k, q + k.T @ r @ k
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE])
+    def test_ill_conditioned_input_weight_keeps_scipys_verdicts(self, domain, order, kappa):
+        # R^-1 enters the continuous Hamiltonian, so its accuracy falls with
+        # kappa(R); the discrete pencil never inverts R.  Either way P is
+        # accepted exactly when the P of SciPy's general solver passes the
+        # same gate, and an accepted P meets the scaled closed-loop residual
+        # bound, recomputed here.
+        continuous = domain.is_continuous
+        solver = (scipy.linalg.solve_continuous_are if continuous
+                  else scipy.linalg.solve_discrete_are)
+        rng = np.random.default_rng([order, round(math.log10(kappa))])
+        n, m = order // 2, order // 8 or 1
+        for _ in range(3):
+            rep = rand_controllable_system(rng, n, m, 1, domain).real_representation()
+            a, b, q = rep.a, rep.b, np.eye(order)
+            v = np.linalg.qr(rng.standard_normal((2 * m, 2 * m)))[0]
+            r = (v * np.geomspace(1.0, 1.0 / kappa, 2 * m)) @ v.T
+            try:
+                p = design_module._solve_are_real(a, b, q, r, continuous)[0]
+            except RiccatiError:
+                p = None
+            want = solver(a, b, q, r)
+            closed, w = self._closed_loop(a, b, q, r, want, continuous)
+            assert (p is not None) == (_lyapunov_gate(closed, want, w, continuous) is None)
+            if p is None:
+                continue
+            closed, w = self._closed_loop(a, b, q, r, p, continuous)
+            norm_c = np.linalg.norm(closed)
+            if continuous:
+                res, norm_l = closed.T @ p + p @ closed + w, 2.0 * norm_c
+            else:
+                res, norm_l = closed.T @ p @ closed - p + w, norm_c * norm_c + 1.0
+            scale = np.linalg.norm(w) + norm_l * np.linalg.norm(p)
+            assert np.linalg.norm(res) <= LYAP_RESIDUAL_RTOL * scale
 
     @staticmethod
     def _scipy_dare(sysm):
