@@ -763,17 +763,19 @@ class TestLqrCost:
 
 class TestRiccatiSolverPath:
     @staticmethod
-    def _perturb_dare(monkeypatch, shift):
+    def _perturb_dare(monkeypatch, shift, direction=None):
         # The solver reads P = Z21 Z11^{-1} off the ordered QZ form, so adding
-        # c Z11 to Z21 shifts P by c I, with c = shift * |P|.
+        # c D Z11 to Z21 shifts P by c D, with c = shift * |P| and D = direction
+        # (default I).
         exact = scipy.linalg.ordqz
 
         def perturbed(*args, **kwargs):
             *head, z = exact(*args, **kwargs)
             n = z.shape[0] // 2
             p = np.linalg.solve(z[:n, :n].T, z[n:, :n].T).T
+            shifted = z[:n, :n] if direction is None else direction @ z[:n, :n]
             z = z.copy()
-            z[n:, :n] += shift * np.linalg.norm(p) * z[:n, :n]
+            z[n:, :n] += shift * np.linalg.norm(p) * shifted
             return (*head, z)
 
         monkeypatch.setattr(scipy.linalg, "ordqz", perturbed)
@@ -977,12 +979,19 @@ class TestAntilinearLqrDiscrete:
             except NotStabilizableError:
                 continue
             general = lqr(sysm, WeightPair(HermiteBimatrix(q1), HermiteBimatrix(r1)))
-            scale = max(1.0, np.linalg.norm(general.p.first))
-            assert np.linalg.norm(sol.p.first - general.p.first) <= 1e-8 * scale
-            assert np.linalg.norm(general.p.second) <= 1e-8 * scale
-            gscale = max(1.0, np.linalg.norm(general.gain.first))
-            assert np.linalg.norm(sol.gain.first - general.gain.first) <= 1e-7 * gscale
-            assert np.linalg.norm(general.gain.second) <= 1e-7 * gscale
+            assert sol.residual == general.residual
+            for got, want in ((sol.p, general.p), (sol.gain, general.gain)):
+                assert np.array_equal(got.first, want.first)
+                assert np.array_equal(got.second, want.second)
+            # the paper's decoupled equation and gain formula hold for it
+            norm = np.linalg.norm
+            p1, pc = sol.p.first, np.conj(sol.p.first)
+            k1 = -np.linalg.solve(r1 + b2.conj().T @ pc @ b2, b2.conj().T @ pc @ a2)
+            res = q1 + a2.conj().T @ pc @ (a2 + b2 @ k1) - p1
+            assert norm(res) <= LYAP_RESIDUAL_RTOL * (norm(q1) + (norm(a2) ** 2 + 1.0) * norm(p1))
+            assert norm(sol.p.second) <= 1e-8 * max(1.0, norm(p1), norm(q1))
+            g1, g2 = sol.gain.first, sol.gain.second
+            assert norm(k1 - g1) + norm(g2) <= 1e-8 * max(1.0, norm(g1) + norm(g2))
 
     def test_unstabilizable_rejected(self):
         with pytest.raises(NotStabilizableError):
@@ -1021,13 +1030,10 @@ class TestAntilinearLqrDiscrete:
                 )
 
     @pytest.mark.parametrize("seed", range(1, 9))
-    def test_raw_order_8_agrees_with_scipy_or_refuses(self, seed):
+    def test_raw_order_8_agrees_with_scipy(self, seed):
         rng = np.random.default_rng(seed)
         a2, b2 = rand_cmatrix(rng, 8, 8), rand_cmatrix(rng, 8, 1)
-        try:
-            sol = antilinear_lqr_discrete(a2, b2, np.eye(8), np.eye(1))
-        except RiccatiError:
-            return
+        sol = antilinear_lqr_discrete(a2, b2, np.eye(8), np.eye(1))
         rep_a = Bimatrix.antilinear(a2).real_representation()
         rep_b = Bimatrix.antilinear(b2).real_representation()
         want = scipy.linalg.solve_discrete_are(rep_a, rep_b, np.eye(16), np.eye(2))
@@ -1037,17 +1043,14 @@ class TestAntilinearLqrDiscrete:
     def test_conjugate_part_in_solution_is_refused(self, rng, monkeypatch):
         a2, b2 = rand_cmatrix(rng, 2, 2, scale=0.8), rand_cmatrix(rng, 2, 1)
         antilinear_lqr_discrete(a2, b2, np.eye(2), np.eye(1))
-        exact = design_module._solve_are_real
         sym = rand_cmatrix(rng, 2, 2)
         conj_part = Bimatrix.antilinear(sym + sym.T).real_representation()
-
-        def coupled(a, b, q, r, continuous):
-            p, k, iters = exact(a, b, q, r, continuous)
-            return p + 1e-6 * np.linalg.norm(p) * conj_part, k, iters
-
-        monkeypatch.setattr(design_module, "_solve_are_real", coupled)
-        with pytest.raises(RiccatiError, match="decoupled equation"):
+        # a conjugate part of 1e-6 |P|, planted in the ordered QZ form
+        TestRiccatiSolverPath._perturb_dare(monkeypatch, 1e-6, conj_part)
+        with pytest.raises(RiccatiError, match="scaled residual") as info:
             antilinear_lqr_discrete(a2, b2, np.eye(2), np.eye(1))
+        scaled = float(re.search(r"scaled residual ([0-9.e+-]+)", str(info.value)).group(1))
+        assert scaled > LYAP_RESIDUAL_RTOL
 
 
 class TestAntilinearLqrContinuous:
